@@ -13,7 +13,6 @@ replaced by n - 1e-14, which leaves n - 1 <= effective_alpha < n.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -107,11 +106,7 @@ class GridFunction:
 
 
 # Weight tables are shared across every Newton iteration of a solve, so
-# they are cached per (effective order, h, m); lru_cache serializes
-# inserts under its internal lock and reads are safe concurrently.
-_weights_lock = threading.Lock()
-
-
+# they are cached per (effective order, h, m).
 @lru_cache(maxsize=256)
 def power_weights(p: float, h: float, m: int) -> np.ndarray:
     """w[i] = (i*h)**p for i = 0..m, with w[0] = 0 exactly.

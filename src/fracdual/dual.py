@@ -102,30 +102,29 @@ def dual_solve(
     Reliable iff both converged and the scaled sup-norm deviation is at
     most the threshold; a non-converged method yields MethodFailed with
     the offending method(s) named. Solver domain errors count as that
-    method failing.
+    method failing. Such a method has no iterate: its Solution holds zero
+    placeholders for u and the residual, and the deviation is nan.
     """
     sols = {}
     failed = []
+    domain_failed = False
     for method in (MethodKind.SUBSTITUTION, MethodKind.BYPARTS):
         try:
             sol = solve(eq, cfg, method=method)
         except SolverDomainError:
-            m = grid_size(eq.interval_end, cfg.h)
-            nan_grid = GridFunction(cfg.h, np.zeros(m + 1))
-            sol = Solution(
-                u=nan_grid,
-                residual=GridFunction(cfg.h, np.full(m + 1, np.inf)),
-                converged=False,
-                newton_iters=0,
-                method=method,
-            )
+            domain_failed = True
+            zeros = GridFunction(cfg.h, np.zeros(grid_size(eq.interval_end, cfg.h) + 1))
+            sol = Solution(u=zeros, residual=zeros, converged=False, newton_iters=0, method=method)
         sols[method] = sol
         if not sol.converged:
             failed.append(method)
     a = sols[MethodKind.SUBSTITUTION]
     b = sols[MethodKind.BYPARTS]
-    diff = float(np.max(np.abs(a.u.values - b.u.values)))
-    deviation = diff / max(1.0, float(np.max(np.abs(b.u.values))))
+    if domain_failed:
+        deviation = np.nan
+    else:
+        diff = float(np.max(np.abs(a.u.values - b.u.values)))
+        deviation = diff / max(1.0, float(np.max(np.abs(b.u.values))))
     thr = default_threshold(cfg.h) if threshold is None else float(threshold)
     if failed:
         verdict = Verdict(VerdictKind.METHOD_FAILED, tuple(failed))

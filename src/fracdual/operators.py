@@ -1,10 +1,27 @@
-"""Dense matrix forms of the two fractional-derivative representations.
+"""Fractional-derivative operators assembled from their Toeplitz kernels.
 
-Row k of an operator matrix reproduces the corresponding scalar
+Row k of an operator matrix A reproduces the corresponding scalar
 quadrature at t = k*h applied to stencil-reconstructed derivative
 samples of the grid function, so a matrix-vector product evaluates
-D^alpha u at every node at once. The solver reuses these across Newton
-iterations; they are cached per (method, effective order, h, m).
+D^alpha u at every node at once. Each rule is a weight matrix L times a
+banded stencil matrix B:
+
+* substitution: A = W S_n, with S_n the n-th derivative stencils;
+* by-parts: A = c S_n[0,:] + P D S_n, with D the three-point differences
+  and the boundary term c anchored at node 0.
+
+L is lower-triangular Toeplitz, L[k,j] = lam[k-j], apart from its column
+0 (and row 0, which is zero); B repeats its central stencil row apart
+from one-sided rows at the ends. So every column that only central rows
+of B reach is Toeplitz too, A[k,l] = kappa[k-l] with kappa = lam
+convolved with B's central row. That holds outside the ``_EDGE`` columns
+at each end. Assembly writes kappa into the dense array once, then
+recomputes the edge columns exactly as sums of shifted columns of L
+(both ends together, so small grids where the ends overlap come out
+whole). It takes O(m) data and O(m^2) time, and builds one (m+1)x(m+1)
+array: the operator itself, which the solver's Jacobian needs dense.
+Operators are cached per (method, effective order, h, m) and reused
+across Newton iterations.
 """
 
 from __future__ import annotations
@@ -15,76 +32,66 @@ import numpy as np
 
 from .caputo import FractionalOrder, MethodKind, power_weights
 from .special_functions import gamma
-from .stencils import difference_matrix_3pt, differentiation_matrix
+from .stencils import apply_rows, difference_rows_3pt, differentiation_rows
 
-__all__ = ["fractional_operator", "substitution_weight_matrix", "byparts_weight_parts"]
+__all__ = ["fractional_operator", "operator_for"]
 
-
-@lru_cache(maxsize=64)
-def substitution_weight_matrix(effective: float, n: int, h: float, m: int) -> np.ndarray:
-    """Lower-triangular W with (W g)_k = substitution quadrature of g at x_k.
-
-    Row coefficients are the trapezoid weights of the transformed
-    integral regrouped per sample: interior samples get
-    (w[i+1]-w[i-1])/2 by distance i = k-j, the endpoints get
-    (w[k]-w[k-1])/2 and w[1]/2.
-    """
-    p = n - effective
-    w = power_weights(p, h, m)
-    a = np.zeros(m + 1)
-    if m >= 2:
-        a[1:m] = 0.5 * (w[2 : m + 1] - w[0 : m - 1])
-    idx = np.arange(m + 1)
-    dist = idx[:, None] - idx[None, :]
-    W = np.where(dist >= 1, a[np.clip(dist, 0, m)], 0.0)
-    ks = np.arange(1, m + 1)
-    W[ks, 0] = 0.5 * (w[ks] - w[ks - 1])
-    W[ks, ks] = 0.5 * w[1]
-    W /= gamma(n + 1 - effective)
-    W.setflags(write=False)
-    return W
-
-
-@lru_cache(maxsize=64)
-def byparts_weight_parts(effective: float, n: int, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(boundary column c, interior matrix P) of the by-parts quadrature.
-
-    Row k of the full rule is c[k]*g(0) + (P d)_k where g = f^(n) and
-    d = f^(n+1) samples: c[k] = w[k]/Gamma, P[k,0] = (h/2) w[k]/Gamma,
-    P[k,j] = h*w[k-j]/Gamma for 1 <= j <= k-1, and the x = t node is
-    absent (zero weight).
-    """
-    p = n - effective
-    w = power_weights(p, h, m)
-    g = gamma(n + 1 - effective)
-    idx = np.arange(m + 1)
-    dist = idx[:, None] - idx[None, :]
-    mask = (dist >= 1) & (idx[None, :] >= 1)
-    P = np.where(mask, h * w[np.clip(dist, 0, m)], 0.0)
-    P[:, 0] = 0.5 * h * w
-    P /= g
-    c = w / g
-    P.setflags(write=False)
-    c.setflags(write=False)
-    return c, P
+# With stencils up to five wide, the columns that a one-sided row of S_n
+# or D S_n reaches, or whose central window runs off the grid, lie within
+# this many of either end.
+_EDGE = 6
 
 
 @lru_cache(maxsize=64)
 def fractional_operator(method: MethodKind, effective: float, n: int, h: float, m: int) -> np.ndarray:
     """(m+1)x(m+1) matrix A with (A u)_k = D^alpha u(x_k) under ``method``.
 
-    Substitution applies the weight matrix to S_n u. By-parts applies the
-    trapezoid weights to three-point first differences of S_n u (its
-    summation-by-parts dual form) with the boundary term anchored at
-    (S_n u)(0); only node 0 of S_n's one-sided rows enters that term.
+    Substitution applies the trapezoid weights of the transformed
+    integral to S_n u: W[k,j] = (w[k-j+1]-w[k-j-1])/2 for 1 <= j <= k
+    (w[-1] = 0), W[k,0] = (w[k]-w[k-1])/2. By-parts applies the trapezoid
+    weights to three-point first differences of S_n u (its
+    summation-by-parts dual form): P[k,j] = h*w[k-j] for 1 <= j < k,
+    P[k,0] = h*w[k]/2, with the boundary term c[k] = w[k] times
+    (S_n u)(0). All weights are divided by Gamma(n+1-alpha).
     """
-    Sn = differentiation_matrix(m, h, n)
+    if m < 8:
+        raise ValueError(f"grid too small for stencil layout (m={m}, need m >= 8)")
+    w = power_weights(n - effective, h, m)
+    g = gamma(n + 1 - effective)
+    rows = differentiation_rows(n, h)
+    cols = np.unique(np.r_[0:_EDGE, m + 1 - _EDGE : m + 1])
+    B = np.zeros((m + 1, cols.size))
+    B[cols, np.arange(cols.size)] = 1.0
+    B = apply_rows(rows, B)  # S_n[:, cols]
+    central = rows[1]
     if method is MethodKind.SUBSTITUTION:
-        A = substitution_weight_matrix(effective, n, h, m) @ Sn
+        # differences of w first: they are small against w itself
+        col0 = 0.5 * np.diff(w, prepend=0.0) / g
+        lam = col0[:-1] + col0[1:]
+        edge = np.zeros_like(B)
     else:
-        c, P = byparts_weight_parts(effective, n, h, m)
-        D = difference_matrix_3pt(m, h)
-        A = np.outer(c, Sn[0, :]) + P @ (D @ Sn)
+        lam = h * w / g
+        col0 = 0.5 * lam
+        edge = np.outer(w / g, B[0])  # boundary term c S_n[0, cols]
+        diff = difference_rows_3pt(h)
+        B = apply_rows(diff, B)  # (D S_n)[:, cols]
+        central = np.convolve(diff[1], central)
+    # A[:, cols] += L B[:, cols] over the few rows of B that reach cols;
+    # column j of L is col0 for j = 0, else lam shifted down by j.
+    for j in np.flatnonzero(B.any(axis=1)):
+        if j == 0:
+            edge += np.outer(col0, B[0])
+        else:
+            edge[j:] += np.outer(lam[: m + 1 - j], B[j])
+
+    # kappa[d + lead] = A[k, l] at k - l = d; row k of A is the window
+    # rev[m-k : 2m-k+1] of the reversed kernel, zero above the band.
+    lead = len(central) // 2
+    kappa = np.convolve(lam, central[::-1])
+    rev = np.zeros(2 * m + 1)
+    rev[: m + lead + 1] = kappa[m + lead :: -1]
+    A = np.lib.stride_tricks.sliding_window_view(rev, m + 1)[::-1].copy()
+    A[:, cols] = edge
     A.setflags(write=False)
     return A
 

@@ -42,7 +42,8 @@ class ProblemFile:
     threshold: Optional[float] = None
 
     def config(self, **overrides) -> SolverConfig:
-        return SolverConfig(h=self.h, **overrides)
+        """Solver settings at the file's step; any keyword (``h`` too) overrides."""
+        return SolverConfig(**{"h": self.h, **overrides})
 
 
 def _unquote(value: str, lineno: int) -> str:

@@ -1,9 +1,10 @@
 """Finite-difference stencils on a uniform grid.
 
 Coefficient rows for the first three derivatives with forward, central,
-and backward placement, window application helpers, and full-grid
-differentiation matrices. Central windows are used wherever they fit;
-the two nodes at each end fall back to the same-order one-sided stencil
+and backward placement, window application helpers, and the full-grid
+layout both as rows applied without a matrix (``apply_rows``) and as
+dense differentiation matrices. Central windows are used wherever they
+fit; the nodes at each end fall back to the same-order one-sided stencil
 on the available side.
 """
 
@@ -21,6 +22,9 @@ __all__ = [
     "second_derivative",
     "third_derivative",
     "apply_stencil",
+    "differentiation_rows",
+    "difference_rows_3pt",
+    "apply_rows",
     "differentiation_matrix",
     "difference_matrix_3pt",
 ]
@@ -96,6 +100,35 @@ def apply_stencil(order: int, placement: str, values, h: float) -> float:
             f"{placement} stencil of order {order} needs {kind.width} samples, got {window.shape}"
         )
     return float(np.dot(_scaled_coefficients(order, placement, h), window))
+
+
+def differentiation_rows(order: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(forward, central, backward) coefficient rows of ``differentiation_matrix``."""
+    return tuple(_scaled_coefficients(order, p, h) for p in ("forward", "central", "backward"))
+
+
+def difference_rows_3pt(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(forward, central, backward) coefficient rows of ``difference_matrix_3pt``."""
+    fwd, _, bwd = differentiation_rows(1, h)
+    return fwd, np.array([-1.0, 0.0, 1.0]) / (2.0 * h), bwd
+
+
+def apply_rows(rows, values: np.ndarray) -> np.ndarray:
+    """Banded matrix of stencil ``rows`` applied to ``values`` (along axis 0).
+
+    Same layout as the matrices below: with a central row of width w, the
+    first w//2 nodes take the forward row, the last w//2 the backward row.
+    Costs O(w) per entry of ``values``; no matrix is formed.
+    """
+    fwd, cen, bwd = rows
+    n, half = len(values), len(cen) // 2
+    out = np.zeros_like(values)
+    for i, c in enumerate(cen):
+        out[half : n - half] += c * values[i : n - 2 * half + i]
+    for k in range(half):
+        out[k] = fwd @ values[k : k + len(fwd)]
+        out[n - 1 - k] = bwd @ values[n - k - len(bwd) : n - k]
+    return out
 
 
 def first_derivative(values, h: float, placement: str) -> float:

@@ -81,6 +81,15 @@ def test_solve_dual_verdict_line(tiny_problem, tmp_path):
     assert len(lines) == 1 + 21 + 1  # header, 21 nodes, verdict
 
 
+def test_dual_verdict_line_domain_failure(tmp_path):
+    path = tmp_path / "undefined.prob"
+    path.write_text(TINY_PROBLEM.replace('forcing = "x^1.2', 'forcing = "ln(x - 2) + x^1.2'), encoding="utf-8")
+    code, text = run(["dual", "--problem", str(path)], tmp_path / "f.csv")
+    assert code == 0
+    verdict = text.strip().split("\n")[-1]
+    assert verdict.startswith("verdict=MethodFailed(substitution,byparts) deviation=nan threshold=")
+
+
 def test_single_method_solve(tiny_problem, tmp_path):
     code, text = run(["solve", "--problem", str(tiny_problem), "--method", "subst"], tmp_path / "s1.csv")
     assert code == 0

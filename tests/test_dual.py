@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from fracdual.bench import derivative_table
-from fracdual.caputo import GridFunction, MethodKind
+from fracdual.caputo import FractionalOrder, GridFunction, MethodKind
 from fracdual.dual import (
     VerdictKind,
     compare_to_exact,
@@ -12,7 +14,7 @@ from fracdual.dual import (
     inter_method_difference,
 )
 from fracdual.expr import parse_expression
-from fracdual.solver import Solution, SolverConfig, solve
+from fracdual.solver import EquationSpec, Solution, SolverConfig, TermSpec, solve
 
 
 def _fake_solution(h, values, method=MethodKind.SUBSTITUTION):
@@ -51,6 +53,22 @@ class TestVerdicts:
         assert report.verdict.kind is VerdictKind.METHOD_FAILED
         assert len(report.verdict.failed) >= 1
         assert "MethodFailed" in str(report.verdict)
+
+    def test_domain_failure_reports_no_deviation(self):
+        # ln(x - 2) is undefined on all of [0, 1]: both methods hit a domain
+        # error at every damping level and have no iterate to compare
+        eq = EquationSpec(
+            terms=(TermSpec(parse_expression("1"), FractionalOrder(0.5)),),
+            forcing=parse_expression("ln(x - 2)"),
+            rhs=parse_expression("u"),
+            interval_end=1.0,
+            ic_u0=0.0,
+        )
+        report = dual_solve(eq, SolverConfig(h=0.1))
+        assert report.verdict.kind is VerdictKind.METHOD_FAILED
+        assert report.verdict.failed == (MethodKind.SUBSTITUTION, MethodKind.BYPARTS)
+        assert math.isnan(report.deviation)
+        assert not report.verdict.reliable
 
     def test_reliable_iff_converged_and_within(self, solved_fixture):
         _problem, report = solved_fixture("linear_x12")

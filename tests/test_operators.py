@@ -1,15 +1,71 @@
 import numpy as np
 import pytest
 
+from fracdual.bench import FIXTURES, load_fixture
 from fracdual.caputo import (
     FractionalOrder,
     GridFunction,
     MethodKind,
     caputo_byparts,
     caputo_substitution,
+    power_weights,
 )
 from fracdual.operators import fractional_operator, operator_for
+from fracdual.solver import grid_size
+from fracdual.special_functions import gamma
 from fracdual.stencils import difference_matrix_3pt, differentiation_matrix
+
+
+def dense_operator(method, order, h, m):
+    """The operator as the dense products W @ S_n and c S_n[0] + P @ (D @ S_n).
+
+    Row k of W and P holds the per-sample weights of caputo_substitution
+    and caputo_byparts at t_index k: trapezoid averages times the
+    increments of u = (t-x)^p for substitution, h*w[k-j] (half at j = 0)
+    for by-parts, whose boundary column is c = w.
+    """
+    n = order.n
+    w = power_weights(n - order.effective, h, m) / gamma(n + 1 - order.effective)
+    Sn = differentiation_matrix(m, h, n)
+    L = np.zeros((m + 1, m + 1))
+    for k in range(1, m + 1):
+        if method is MethodKind.SUBSTITUTION:
+            du = w[k:0:-1] - w[k - 1 :: -1]
+            L[k, :k] += 0.5 * du
+            L[k, 1 : k + 1] += 0.5 * du
+        else:
+            L[k, 0] = 0.5 * h * w[k]
+            L[k, 1:k] = h * w[k - 1 : 0 : -1]
+    if method is MethodKind.SUBSTITUTION:
+        return L @ Sn
+    return np.outer(w, Sn[0]) + L @ (difference_matrix_3pt(m, h) @ Sn)
+
+
+def _oracle_cases():
+    """(alpha, h, m) over an order/grid ladder plus every fixture's terms."""
+    # 2.5 takes the third-derivative stencils, the widest one-sided rows
+    alphas = (0.3, 0.5, 0.9, 1.0, 1.3, 1.7, 2.0, 2.5)
+    cases = {(a, 1.0 / m, m) for a in alphas for m in (8, 9, 10, 40, 1000)}
+    for name in FIXTURES:
+        problem = load_fixture(name)
+        m = grid_size(problem.equation.interval_end, problem.h)
+        cases.update((t.order.alpha, problem.h, m) for t in problem.equation.terms)
+    return sorted(cases)
+
+
+@pytest.mark.parametrize("method", list(MethodKind))
+@pytest.mark.parametrize("alpha,h,m", _oracle_cases())
+def test_matches_dense_product(method, alpha, h, m):
+    o = FractionalOrder(alpha)
+    want = dense_operator(method, o, h, m)
+    got = operator_for(method, o, h, m)
+    assert got.shape == (m + 1, m + 1)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_rejects_grids_below_stencil_layout():
+    with pytest.raises(ValueError, match="m >= 8"):
+        fractional_operator(MethodKind.SUBSTITUTION, 0.5, 1, 0.2, 7)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.3, 1.7])

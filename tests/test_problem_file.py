@@ -1,6 +1,7 @@
 import pytest
 
 from fracdual.bench import FIXTURES, load_fixture
+from fracdual.dual import compare_to_exact, dual_solve
 from fracdual.problem_file import (
     ProblemFileError,
     dump_problem,
@@ -108,3 +109,17 @@ def test_parse_problem_bad_path_message(tmp_path):
     path.write_text("junk = 1\n", encoding="utf-8")
     with pytest.raises(ProblemFileError, match="bad.prob"):
         parse_problem(path)
+
+
+def test_config_override_resolves_fixture_at_another_step(solved_fixture):
+    problem, base = solved_fixture("linear_x12")
+    cfg = problem.config(h=2 * problem.h, newton_tol=1e-11)
+    assert (cfg.h, cfg.newton_tol) == (0.02, 1e-11)
+    assert problem.config().h == problem.h
+    report = dual_solve(problem.equation, cfg, threshold=problem.threshold)
+    assert report.sol_subst.u.m == 50
+    assert report.verdict.reliable
+    # the coarser grid is the less accurate one
+    coarse = compare_to_exact(report.sol_subst, problem.exact).sup
+    fine = compare_to_exact(base.sol_subst, problem.exact).sup
+    assert coarse > fine

@@ -20,13 +20,11 @@ recomputes the edge columns exactly as sums of shifted columns of L
 (both ends together, so small grids where the ends overlap come out
 whole). It takes O(m) data and O(m^2) time, and builds one (m+1)x(m+1)
 array: the operator itself, which the solver's Jacobian needs dense.
-Operators are cached per (method, effective order, h, m) and reused
-across Newton iterations.
+Nothing is cached: each solve builds its operators once and keeps them
+for its Newton iterations only.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +40,6 @@ __all__ = ["fractional_operator", "operator_for"]
 _EDGE = 6
 
 
-@lru_cache(maxsize=64)
 def fractional_operator(method: MethodKind, effective: float, n: int, h: float, m: int) -> np.ndarray:
     """(m+1)x(m+1) matrix A with (A u)_k = D^alpha u(x_k) under ``method``.
 

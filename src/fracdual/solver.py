@@ -1,6 +1,6 @@
 """Implicit collocation solver for quasilinear fractional equations.
 
-An equation sum_i K_i(u,x) D^(alpha_i) u(x) + f(x) = g(u(x)) on [0, T]
+An equation sum_i K_i(u,x) D^(alpha_i) u(x) + f(x,u) = g(u(x)) on [0, T]
 is discretized on the uniform grid x_k = k*h: one row per initial
 condition, then one collocation row per remaining node, with the
 fractional derivatives represented by the dense operators of either
@@ -20,6 +20,7 @@ import numpy as np
 from .caputo import FractionalOrder, GridFunction, MethodKind
 from .expr import EvalDomainError, ExpressionTree, evaluate
 from .operators import operator_for
+from .stencils import STENCILS
 
 __all__ = [
     "TermSpec",
@@ -39,9 +40,6 @@ __all__ = [
 # rounding floor of its own evaluation: eps times the absolute-value sum
 # that the residual cancellation runs over, with this safety factor.
 RESIDUAL_FLOOR_FACTOR = 256.0
-
-_FWD3 = np.array([-3.0, 4.0, -1.0])
-
 
 class SolverDomainError(RuntimeError):
     """Expression domain errors blocked every damping level; cannot proceed."""
@@ -66,7 +64,11 @@ class TermSpec:
 
 @dataclass(frozen=True)
 class EquationSpec:
-    """sum of terms + forcing(x) = rhs(u), with initial data at x = 0."""
+    """sum of terms + forcing(x, u) = rhs(u), with initial data at x = 0.
+
+    The forcing may depend on u as well as x; the Newton Jacobian
+    differentiates it in u like the coefficients and the right-hand side.
+    """
 
     terms: tuple[TermSpec, ...]
     forcing: ExpressionTree
@@ -153,44 +155,49 @@ def collocation_layout(eq: EquationSpec, cfg: SolverConfig) -> ConstraintPlan:
     return ConstraintPlan(m=m, n_ic=n_ic, collocation_nodes=np.arange(n_ic, m + 1))
 
 
-def _tree_eval(tree, x, u, node_offset: int):
+def _tree_eval(tree, x, u, node_offset: int) -> np.ndarray:
+    """``evaluate`` as a float array shaped like ``x``; domain errors name their node."""
     try:
-        return evaluate(tree, x, u)
+        value = evaluate(tree, x, u)
     except EvalDomainError as exc:
         node = None if exc.index is None else exc.index + node_offset
         raise ResidualDomainError(str(exc), node) from exc
+    return np.broadcast_to(np.asarray(value, dtype=float), x.shape)
 
 
 class _Workspace:
-    """Precomputed pieces shared across Newton iterations of one solve."""
+    """Operators and grid of one solve, shared across its Newton iterations."""
 
     def __init__(self, eq: EquationSpec, cfg: SolverConfig, method: MethodKind):
         self.eq = eq
-        self.cfg = cfg
-        self.method = method
-        self.plan = collocation_layout(eq, cfg)
-        m, h = self.plan.m, cfg.h
-        self.m, self.h = m, h
+        plan = collocation_layout(eq, cfg)
+        m, h = plan.m, cfg.h
+        self.m = m
         self.x = np.arange(m + 1) * h
-        self.n_ic = self.plan.n_ic
+        self.n_ic = plan.n_ic
         self.ops = [operator_for(method, t.order, h, m) for t in eq.terms]
         self.abs_ops = [np.abs(A) for A in self.ops]
         self.xc = self.x[self.n_ic :]
+        fwd = STENCILS[(1, "forward")]  # the u'(0) row, divided after the product
+        self.du0_row, self.du0_denom = np.asarray(fwd.coefficients), fwd.denominator * h
+
+    def _parts(self, uc: np.ndarray):
+        """f, g and every K_i at the collocation nodes, given u there."""
+        eq, xc, nic = self.eq, self.xc, self.n_ic
+        f = _tree_eval(eq.forcing, xc, uc, nic)
+        g = _tree_eval(eq.rhs, xc, uc, nic)
+        return f, g, [_tree_eval(t.coeff, xc, uc, nic) for t in eq.terms]
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         eq, nic = self.eq, self.n_ic
         r = np.empty(self.m + 1)
         r[0] = u[0] - eq.ic_u0
         if nic == 2:
-            r[1] = float(_FWD3 @ u[:3]) / (2.0 * self.h) - eq.ic_du0
-        uc = u[nic:]
-        acc = _tree_eval(eq.forcing, self.xc, uc, nic) - _tree_eval(eq.rhs, self.xc, uc, nic)
-        acc = np.asarray(acc, dtype=float)
-        if acc.ndim == 0:
-            acc = np.full(uc.shape, float(acc))
-        for term, A in zip(eq.terms, self.ops):
-            K = _tree_eval(term.coeff, self.xc, uc, nic)
-            acc = acc + np.asarray(K) * (A @ u)[nic:]
+            r[1] = float(self.du0_row @ u[:3]) / self.du0_denom - eq.ic_du0
+        f, g, Ks = self._parts(u[nic:])
+        acc = f - g
+        for K, A in zip(Ks, self.ops):
+            acc = acc + K * (A @ u)[nic:]
         r[nic:] = acc
         return r
 
@@ -198,19 +205,14 @@ class _Workspace:
         """Absolute-value magnitude the residual sums cancel over."""
         eq, nic = self.eq, self.n_ic
         au = np.abs(u)
-        acc = np.abs(_tree_eval(eq.forcing, self.xc, u[nic:], nic)) + np.abs(
-            _tree_eval(eq.rhs, self.xc, u[nic:], nic)
-        )
-        acc = np.asarray(acc, dtype=float)
-        if acc.ndim == 0:
-            acc = np.full(self.xc.shape, float(acc))
-        for term, absA in zip(eq.terms, self.abs_ops):
-            K = np.abs(np.asarray(_tree_eval(term.coeff, self.xc, u[nic:], nic)))
-            acc = acc + K * (absA @ au)[nic:]
+        f, g, Ks = self._parts(u[nic:])
+        acc = np.abs(f) + np.abs(g)
+        for K, absA in zip(Ks, self.abs_ops):
+            acc = acc + np.abs(K) * (absA @ au)[nic:]
         scale = float(np.max(acc))
         scale = max(scale, abs(u[0]) + abs(eq.ic_u0))
         if nic == 2:
-            scale = max(scale, float(np.abs(_FWD3) @ au[:3]) / (2.0 * self.h) + abs(eq.ic_du0))
+            scale = max(scale, float(np.abs(self.du0_row) @ au[:3]) / self.du0_denom + abs(eq.ic_du0))
         return scale
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
@@ -221,30 +223,24 @@ class _Workspace:
         closed form below reproduces the column-by-column differences
         without m+1 full residual evaluations.
         """
-        eq, nic, m = self.eq, self.n_ic, self.m
+        nic, m = self.n_ic, self.m
         eps = 1e-7 * (1.0 + np.abs(u))
-        xc, uc, epsc = self.xc, u[nic:], eps[nic:]
+        uc, epsc = u[nic:], eps[nic:]
+        f, g, Ks = self._parts(uc)
+        fp, gp, Kps = self._parts(uc + epsc)
         J = np.zeros((m + 1, m + 1))
         diag = np.zeros(m + 1 - nic)
-        for term, A in zip(eq.terms, self.ops):
-            K = np.asarray(_tree_eval(term.coeff, xc, uc, nic), dtype=float)
-            if K.ndim == 0:
-                K = np.full(uc.shape, float(K))
+        for K, Kp, A in zip(Ks, Kps, self.ops):
             J[nic:, :] += K[:, None] * A[nic:, :]
-            Kp = np.asarray(_tree_eval(term.coeff, xc, uc + epsc, nic), dtype=float)
-            if Kp.ndim == 0:
-                Kp = np.full(uc.shape, float(Kp))
             base = (A @ u)[nic:]
             diag += (Kp - K) / epsc * base + (Kp - K) * np.diag(A)[nic:]
-        gb = np.asarray(_tree_eval(eq.rhs, xc, uc, nic), dtype=float)
-        gp = np.asarray(_tree_eval(eq.rhs, xc, uc + epsc, nic), dtype=float)
-        diag -= (gp - gb) / epsc
+        diag += (fp - f) / epsc - (gp - g) / epsc
         J[np.arange(nic, m + 1), np.arange(nic, m + 1)] += diag
         J[0, :] = 0.0
         J[0, 0] = 1.0
         if nic == 2:
             J[1, :] = 0.0
-            J[1, 0:3] = _FWD3 / (2.0 * self.h)
+            J[1, 0:3] = self.du0_row / self.du0_denom
         return J
 
 
@@ -253,7 +249,7 @@ def assemble_residual(eq: EquationSpec, cfg: SolverConfig, candidate: GridFuncti
 
     Entry 0 is u_0 minus the initial value; with a first-derivative
     condition, entry 1 is its forward-difference mismatch; entries
-    n_ic..m are sum_i K_i(x_k,u_k) D^(alpha_i)u(x_k) + f(x_k) - g(u_k).
+    n_ic..m are sum_i K_i(x_k,u_k) D^(alpha_i)u(x_k) + f(x_k,u_k) - g(u_k).
     """
     if cfg.method is None:
         raise ValueError("config carries no method")

@@ -3,7 +3,7 @@
 Coefficient rows for the first three derivatives with forward, central,
 and backward placement, window application helpers, and the full-grid
 layout both as rows applied without a matrix (``apply_rows``) and as
-dense differentiation matrices. Central windows are used wherever they
+dense differentiation matrices, which the tests use as references. Central windows are used wherever they
 fit; the nodes at each end fall back to the same-order one-sided stencil
 on the available side.
 """
@@ -11,16 +11,12 @@ on the available side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "StencilKind",
     "STENCILS",
-    "first_derivative",
-    "second_derivative",
-    "third_derivative",
     "apply_stencil",
     "differentiation_rows",
     "difference_rows_3pt",
@@ -35,13 +31,15 @@ class StencilKind:
     """One stencil: derivative order, placement, coefficients, formal order.
 
     ``coefficients`` multiply consecutive grid samples and are divided by
-    h**order; ``node`` is the index within the window where the derivative
-    is evaluated. Every row sums to zero (constants are annihilated).
+    ``denominator * h**order``; ``node`` is the index within the window
+    where the derivative is evaluated. Every row sums to zero (constants
+    are annihilated).
     """
 
     order: int
     placement: str  # "forward" | "central" | "backward"
     coefficients: tuple[float, ...]
+    denominator: float
     node: int
     formal_order: int
 
@@ -52,36 +50,24 @@ class StencilKind:
 
 STENCILS: dict[tuple[int, str], StencilKind] = {
     # first derivative
-    (1, "forward"): StencilKind(1, "forward", (-3.0, 4.0, -1.0), 0, 2),
+    (1, "forward"): StencilKind(1, "forward", (-3.0, 4.0, -1.0), 2.0, 0, 2),
     # five-point central row; formally fourth order
-    (1, "central"): StencilKind(1, "central", (1.0, -8.0, 0.0, 8.0, -1.0), 2, 4),
-    (1, "backward"): StencilKind(1, "backward", (1.0, -4.0, 3.0), 2, 2),
+    (1, "central"): StencilKind(1, "central", (1.0, -8.0, 0.0, 8.0, -1.0), 12.0, 2, 4),
+    (1, "backward"): StencilKind(1, "backward", (1.0, -4.0, 3.0), 2.0, 2, 2),
     # second derivative
-    (2, "forward"): StencilKind(2, "forward", (2.0, -5.0, 4.0, -1.0), 0, 2),
-    (2, "central"): StencilKind(2, "central", (-1.0, 16.0, -30.0, 16.0, -1.0), 2, 4),
-    (2, "backward"): StencilKind(2, "backward", (-1.0, 4.0, -5.0, 2.0), 3, 2),
+    (2, "forward"): StencilKind(2, "forward", (2.0, -5.0, 4.0, -1.0), 1.0, 0, 2),
+    (2, "central"): StencilKind(2, "central", (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0, 2, 4),
+    (2, "backward"): StencilKind(2, "backward", (-1.0, 4.0, -5.0, 2.0), 1.0, 3, 2),
     # third derivative
-    (3, "forward"): StencilKind(3, "forward", (-5.0, 18.0, -24.0, 14.0, -3.0), 0, 2),
-    (3, "central"): StencilKind(3, "central", (-1.0, 2.0, 0.0, -2.0, 1.0), 2, 2),
-    (3, "backward"): StencilKind(3, "backward", (3.0, -14.0, 24.0, -18.0, 5.0), 4, 2),
-}
-
-_DENOM = {
-    (1, "forward"): 2.0,
-    (1, "central"): 12.0,
-    (1, "backward"): 2.0,
-    (2, "forward"): 1.0,
-    (2, "central"): 12.0,
-    (2, "backward"): 1.0,
-    (3, "forward"): 2.0,
-    (3, "central"): 2.0,
-    (3, "backward"): 2.0,
+    (3, "forward"): StencilKind(3, "forward", (-5.0, 18.0, -24.0, 14.0, -3.0), 2.0, 0, 2),
+    (3, "central"): StencilKind(3, "central", (-1.0, 2.0, 0.0, -2.0, 1.0), 2.0, 2, 2),
+    (3, "backward"): StencilKind(3, "backward", (3.0, -14.0, 24.0, -18.0, 5.0), 2.0, 4, 2),
 }
 
 
 def _scaled_coefficients(order: int, placement: str, h: float) -> np.ndarray:
     kind = STENCILS[(order, placement)]
-    return np.asarray(kind.coefficients) / (_DENOM[(order, placement)] * h**order)
+    return np.asarray(kind.coefficients) / (kind.denominator * h**order)
 
 
 def apply_stencil(order: int, placement: str, values, h: float) -> float:
@@ -131,19 +117,6 @@ def apply_rows(rows, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def first_derivative(values, h: float, placement: str) -> float:
-    return apply_stencil(1, placement, values, h)
-
-
-def second_derivative(values, h: float, placement: str) -> float:
-    return apply_stencil(2, placement, values, h)
-
-
-def third_derivative(values, h: float, placement: str) -> float:
-    return apply_stencil(3, placement, values, h)
-
-
-@lru_cache(maxsize=64)
 def differentiation_matrix(m: int, h: float, order: int) -> np.ndarray:
     """(m+1)x(m+1) matrix taking grid samples to derivative samples.
 
@@ -154,9 +127,7 @@ def differentiation_matrix(m: int, h: float, order: int) -> np.ndarray:
     if m < 8:
         raise ValueError(f"grid too small for stencil layout (m={m}, need m >= 8)")
     S = np.zeros((m + 1, m + 1))
-    fwd = _scaled_coefficients(order, "forward", h)
-    cen = _scaled_coefficients(order, "central", h)
-    bwd = _scaled_coefficients(order, "backward", h)
+    fwd, cen, bwd = differentiation_rows(order, h)
     wf, wc, wb = len(fwd), len(cen), len(bwd)
     for k in (0, 1):
         S[k, k : k + wf] = fwd
@@ -169,7 +140,6 @@ def differentiation_matrix(m: int, h: float, order: int) -> np.ndarray:
     return S
 
 
-@lru_cache(maxsize=64)
 def difference_matrix_3pt(m: int, h: float) -> np.ndarray:
     """Classic three-point first-difference matrix.
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -107,11 +110,14 @@ def test_annihilates_constants(method, alpha):
     assert np.max(np.abs(out)) <= 1e-9
 
 
-def test_operator_cache_reuses_arrays():
+def test_operator_is_read_only_and_dies_with_its_caller():
+    # nothing outside the caller keeps a dense operator alive
     a = fractional_operator(MethodKind.SUBSTITUTION, 0.5, 1, 0.01, 20)
-    b = fractional_operator(MethodKind.SUBSTITUTION, 0.5, 1, 0.01, 20)
-    assert a is b
     assert not a.flags.writeable
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
 
 
 def test_byparts_tracks_substitution_on_smooth_data():

@@ -16,6 +16,7 @@ from fracdual.solver import (
     SolverConfig,
     SolverDomainError,
     TermSpec,
+    _Workspace,
     assemble_residual,
     collocation_layout,
     grid_size,
@@ -144,6 +145,33 @@ class TestResidual:
         with pytest.raises(ValueError):
             assemble_residual(eq, cfg, GridFunction(0.05, np.zeros(11)))
 
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_jacobian_matches_residual_differences(self, method):
+        # column-by-column forward differences of the residual at the
+        # Jacobian's own step; u enters every coefficient, f and g
+        eq = EquationSpec(
+            terms=(
+                TermSpec(E("x*u + 1"), FractionalOrder(1.3)),
+                TermSpec(E("exp(x)"), FractionalOrder(0.6)),
+            ),
+            forcing=E("sin(x) + x*u^2"),
+            rhs=E("sin(u) + u^2"),
+            interval_end=1.0,
+            ic_u0=0.2,
+            ic_du0=0.5,
+        )
+        ws = _Workspace(eq, SolverConfig(h=0.1), method)
+        u = 0.2 + 0.5 * ws.x - 0.3 * ws.x**2
+        J = ws.jacobian(u)
+        r = ws.residual(u)
+        fd = np.empty_like(J)
+        for j in range(u.size):
+            step = 1e-7 * (1.0 + abs(u[j]))
+            up = u.copy()
+            up[j] += step
+            fd[:, j] = (ws.residual(up) - r) / step
+        assert np.max(np.abs(J - fd)) <= 1e-7 * np.max(np.abs(J))
+
     def test_domain_error_reports_node(self):
         eq = simple_eq(rhs="ln(u)")
         cfg = SolverConfig(h=0.1, method=MethodKind.SUBSTITUTION)
@@ -183,6 +211,16 @@ class TestSolve:
         sub = report.sol_subst
         assert sub.converged
         assert abs(sub.u.values[-1] - (-1.0003338137)) <= 1e-6
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_u_dependent_forcing_matches_rhs_form(self, method):
+        # the same equation with its u terms moved from g into f
+        cfg = SolverConfig(h=0.01)
+        a = solve(simple_eq(alpha=0.6, forcing="sin(x) - u^2 - tan(u)"), cfg, method=method)
+        b = solve(simple_eq(alpha=0.6, forcing="sin(x)", rhs="u^2 + tan(u)"), cfg, method=method)
+        assert a.converged and b.converged
+        assert a.newton_iters == b.newton_iters
+        assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-12
 
     def test_determinism(self):
         eq = simple_eq(forcing="x^1.2 - 1.2*gamma(0.5)*gamma(1.2)/gamma(1.7)*x^0.7/sqrt(pi)", rhs="u")

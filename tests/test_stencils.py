@@ -11,9 +11,6 @@ from fracdual.stencils import (
     difference_rows_3pt,
     differentiation_matrix,
     differentiation_rows,
-    first_derivative,
-    second_derivative,
-    third_derivative,
 )
 
 ALL_KINDS = sorted(STENCILS)
@@ -58,12 +55,12 @@ def test_first_derivative_examples():
     # x^2 sampled around 1.0; the central row is exact on quartics
     h = 0.1
     xs = 1.0 + (np.arange(5) - 2) * h
-    assert first_derivative(xs**2, h, "central") == pytest.approx(2.0, rel=1e-13)
+    assert apply_stencil(1, "central", xs**2, h) == pytest.approx(2.0, rel=1e-13)
     # sin with the forward rule: second-order error, halving ratio near 4
     errs = []
     for h in (0.01, 0.005):
         xs = 0.5 + np.arange(3) * h
-        errs.append(abs(first_derivative(np.sin(xs), h, "forward") - math.cos(0.5)))
+        errs.append(abs(apply_stencil(1, "forward", np.sin(xs), h) - math.cos(0.5)))
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
 
@@ -71,13 +68,13 @@ def test_first_derivative_examples():
 def test_second_derivative_examples():
     h = 0.02
     xs = 0.7 + np.arange(4) * h
-    assert second_derivative(3 * xs + 2, h, "forward") == pytest.approx(0.0, abs=1e-10)
+    assert apply_stencil(2, "forward", 3 * xs + 2, h) == pytest.approx(0.0, abs=1e-10)
     for placement, nodes in (("forward", 4), ("central", 5), ("backward", 4)):
         xs = 0.4 + np.arange(nodes) * h
-        assert second_derivative(xs**2, h, placement) == pytest.approx(2.0, rel=1e-10)
+        assert apply_stencil(2, placement, xs**2, h) == pytest.approx(2.0, rel=1e-10)
     h = 0.01
     xs = 0.3 + (np.arange(5) - 2) * h
-    assert abs(second_derivative(np.exp(xs), h, "central") - math.exp(0.3)) <= 1e-8
+    assert abs(apply_stencil(2, "central", np.exp(xs), h) - math.exp(0.3)) <= 1e-8
 
 
 def test_third_derivative_examples():
@@ -85,12 +82,12 @@ def test_third_derivative_examples():
     for placement in ("forward", "central", "backward"):
         kind = STENCILS[(3, placement)]
         xs = 1.2 + (np.arange(kind.width) - kind.node) * h
-        assert third_derivative(xs**3, h, placement) == pytest.approx(6.0, rel=1e-9)
-        assert third_derivative(xs**2, h, placement) == pytest.approx(0.0, abs=1e-9)
+        assert apply_stencil(3, placement, xs**3, h) == pytest.approx(6.0, rel=1e-9)
+        assert apply_stencil(3, placement, xs**2, h) == pytest.approx(0.0, abs=1e-9)
     errs = []
     for h in (0.005, 0.0025):
         xs = 0.4 + (np.arange(5) - 2) * h
-        errs.append(abs(third_derivative(np.sin(xs), h, "central") - (-math.cos(0.4))))
+        errs.append(abs(apply_stencil(3, "central", np.sin(xs), h) - (-math.cos(0.4))))
     assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
@@ -110,11 +107,11 @@ def test_empirical_order(key):
 
 def test_window_length_mismatch():
     with pytest.raises(ValueError):
-        first_derivative([1.0, 2.0], 0.1, "forward")
+        apply_stencil(1, "forward", [1.0, 2.0], 0.1)
     with pytest.raises(ValueError):
-        second_derivative(np.zeros(5), 0.1, "forward")
+        apply_stencil(2, "forward", np.zeros(5), 0.1)
     with pytest.raises(ValueError):
-        third_derivative(np.zeros(3), 0.1, "central")
+        apply_stencil(3, "central", np.zeros(3), 0.1)
 
 
 def test_differentiation_matrix_layout():

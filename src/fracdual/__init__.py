@@ -34,7 +34,6 @@ from .solver import (
     SolverConfig,
     TermSpec,
     assemble_residual,
-    collocation_layout,
     solve,
 )
 from .special_functions import beta, gamma, lgamma
@@ -71,7 +70,6 @@ __all__ = [
     "Solution",
     "solve",
     "assemble_residual",
-    "collocation_layout",
     "gamma",
     "lgamma",
     "beta",

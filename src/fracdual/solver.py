@@ -3,10 +3,11 @@
 An equation sum_i K_i(u,x) D^(alpha_i) u(x) + f(x,u) = g(u(x)) on [0, T]
 is discretized on the uniform grid x_k = k*h: one row per initial
 condition, then one collocation row per remaining node, with the
-fractional derivatives represented by the dense operators of either
-method. The square nonlinear system is solved globally (all nodes at
-once) by damped Newton with a forward-difference Jacobian and a dense
-LU step.
+fractional derivatives represented by the dense operators of the method
+passed to ``solve`` or ``assemble_residual``. The square nonlinear
+system is solved globally (all nodes at once) by damped Newton with a
+forward-difference Jacobian and a dense LU step. A solve holds one dense
+(m+1)^2 operator per term and, while an iteration runs, the Jacobian.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ __all__ = [
     "EquationSpec",
     "SolverConfig",
     "Solution",
-    "ConstraintPlan",
     "SolverDomainError",
     "ResidualDomainError",
     "grid_size",
-    "collocation_layout",
     "assemble_residual",
     "solve",
 ]
@@ -101,7 +100,6 @@ class EquationSpec:
 @dataclass(frozen=True)
 class SolverConfig:
     h: float
-    method: Optional[MethodKind] = None
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
     damping_min: float = 1.0 / 64.0
@@ -111,6 +109,8 @@ class SolverConfig:
             raise ValueError(f"step must be positive, got {self.h}")
         if self.newton_tol <= 0.0 or self.newton_max_iter < 1:
             raise ValueError("bad Newton parameters")
+        if not 0.0 < self.damping_min <= 1.0:
+            raise ValueError(f"damping_min must lie in (0, 1], got {self.damping_min}")
 
 
 @dataclass(frozen=True)
@@ -122,22 +122,6 @@ class Solution:
     method: MethodKind
 
 
-@dataclass(frozen=True)
-class ConstraintPlan:
-    """Deterministic constraint map: which row is which."""
-
-    m: int
-    n_ic: int
-    collocation_nodes: np.ndarray
-
-    def placement(self, node: int) -> str:
-        if node < 2:
-            return "forward"
-        if node > self.m - 2:
-            return "backward"
-        return "central"
-
-
 def grid_size(T: float, h: float) -> int:
     """Number of steps m with m*h = T; validates divisibility and m >= 8."""
     ratio = T / h
@@ -147,12 +131,6 @@ def grid_size(T: float, h: float) -> int:
     if abs(ratio - m) > 1e-8 * max(1.0, m):
         raise ValueError(f"step {h} does not divide interval {T}")
     return m
-
-
-def collocation_layout(eq: EquationSpec, cfg: SolverConfig) -> ConstraintPlan:
-    m = grid_size(eq.interval_end, cfg.h)
-    n_ic = eq.n_ic
-    return ConstraintPlan(m=m, n_ic=n_ic, collocation_nodes=np.arange(n_ic, m + 1))
 
 
 def _tree_eval(tree, x, u, node_offset: int) -> np.ndarray:
@@ -169,14 +147,14 @@ class _Workspace:
     """Operators and grid of one solve, shared across its Newton iterations."""
 
     def __init__(self, eq: EquationSpec, cfg: SolverConfig, method: MethodKind):
+        if not isinstance(method, MethodKind):
+            raise ValueError(f"method must be a MethodKind, got {method!r}")
         self.eq = eq
-        plan = collocation_layout(eq, cfg)
-        m, h = plan.m, cfg.h
+        m, h = grid_size(eq.interval_end, cfg.h), cfg.h
         self.m = m
         self.x = np.arange(m + 1) * h
-        self.n_ic = plan.n_ic
+        self.n_ic = eq.n_ic
         self.ops = [operator_for(method, t.order, h, m) for t in eq.terms]
-        self.abs_ops = [np.abs(A) for A in self.ops]
         self.xc = self.x[self.n_ic :]
         fwd = STENCILS[(1, "forward")]  # the u'(0) row, divided after the product
         self.du0_row, self.du0_denom = np.asarray(fwd.coefficients), fwd.denominator * h
@@ -202,13 +180,17 @@ class _Workspace:
         return r
 
     def residual_scale(self, u: np.ndarray) -> float:
-        """Absolute-value magnitude the residual sums cancel over."""
+        """Absolute-value magnitude the residual sums cancel over.
+
+        |A| is formed per term here rather than kept for the solve: this
+        runs only when the tolerance test fails.
+        """
         eq, nic = self.eq, self.n_ic
         au = np.abs(u)
         f, g, Ks = self._parts(u[nic:])
         acc = np.abs(f) + np.abs(g)
-        for K, absA in zip(Ks, self.abs_ops):
-            acc = acc + np.abs(K) * (absA @ au)[nic:]
+        for K, A in zip(Ks, self.ops):
+            acc = acc + np.abs(K) * (np.abs(A) @ au)[nic:]
         scale = float(np.max(acc))
         scale = max(scale, abs(u[0]) + abs(eq.ic_u0))
         if nic == 2:
@@ -244,16 +226,16 @@ class _Workspace:
         return J
 
 
-def assemble_residual(eq: EquationSpec, cfg: SolverConfig, candidate: GridFunction) -> GridFunction:
+def assemble_residual(
+    eq: EquationSpec, cfg: SolverConfig, method: MethodKind, candidate: GridFunction
+) -> GridFunction:
     """Residual vector of ``candidate``: IC rows, then collocation rows.
 
     Entry 0 is u_0 minus the initial value; with a first-derivative
     condition, entry 1 is its forward-difference mismatch; entries
     n_ic..m are sum_i K_i(x_k,u_k) D^(alpha_i)u(x_k) + f(x_k,u_k) - g(u_k).
     """
-    if cfg.method is None:
-        raise ValueError("config carries no method")
-    ws = _Workspace(eq, cfg, cfg.method)
+    ws = _Workspace(eq, cfg, method)
     if candidate.m != ws.m or not math.isclose(candidate.h, cfg.h, rel_tol=1e-12):
         raise ValueError(
             f"candidate grid (h={candidate.h}, m={candidate.m}) does not match config (h={cfg.h}, m={ws.m})"
@@ -309,7 +291,7 @@ def _newton(ws: _Workspace, u0: np.ndarray, cfg: SolverConfig):
     return u, r, iters, _converged(r, u, ws, cfg.newton_tol)
 
 
-def solve(eq: EquationSpec, cfg: SolverConfig, method: Optional[MethodKind] = None) -> Solution:
+def solve(eq: EquationSpec, cfg: SolverConfig, method: MethodKind) -> Solution:
     """Damped-Newton solve of the collocation system.
 
     Non-convergence returns the best iterate with converged=False; only a
@@ -317,10 +299,7 @@ def solve(eq: EquationSpec, cfg: SolverConfig, method: Optional[MethodKind] = No
     guess is the constant ic_u0, retried once from the linear profile
     ic_u0 + ic_du0*x when a first-derivative condition exists.
     """
-    chosen = method or cfg.method
-    if chosen is None:
-        raise ValueError("no method selected")
-    ws = _Workspace(eq, cfg, chosen)
+    ws = _Workspace(eq, cfg, method)
     guesses = [np.full(ws.m + 1, float(eq.ic_u0))]
     if eq.ic_du0 is not None and eq.ic_du0 != 0.0:
         guesses.append(eq.ic_u0 + eq.ic_du0 * ws.x)
@@ -343,5 +322,5 @@ def solve(eq: EquationSpec, cfg: SolverConfig, method: Optional[MethodKind] = No
         residual=GridFunction(cfg.h, r),
         converged=ok,
         newton_iters=iters,
-        method=chosen,
+        method=method,
     )

@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import fixture_report
 
-from fracdual.bench import TABLE1, TABLE2, derivative_table, run_table1
+from fracdual.bench import TABLE1, derivative_table, run_figures, run_table1, run_table2
 from fracdual.caputo import (
     FractionalOrder,
     GridFunction,
@@ -80,23 +80,8 @@ def test_criterion_2_quadrature_orders():
 
 def test_criterion_3_benchmark_solution_table():
     checks = Checks()
-    _problem, report = fixture_report("quasilinear_tan")
-    h = report.sol_subst.u.h
-    for x, byp_ref, sub_ref in TABLE2:
-        k = round(x / h)
-        for label, sol, ref in (
-            ("byparts", report.sol_byparts, byp_ref),
-            ("subst", report.sol_subst, sub_ref),
-        ):
-            v = float(sol.u.values[k])
-            checks.add(
-                f"value {label} x={x}",
-                abs(v - ref) <= 1e-5,
-                f"measured {v:.10f} vs printed {ref:.10f} (|d|={abs(v - ref):.2e}, tol 1e-5)",
-            )
-    for label, sol in (("byparts", report.sol_byparts), ("subst", report.sol_subst)):
-        sup = float(np.max(np.abs(sol.residual.values)))
-        checks.add(f"residual sup {label}", sup <= 1e-6, f"{sup:.2e} <= 1e-6")
+    for check in run_table2():
+        checks.add(check.name, check.ok, check.line())
     checks.finish("3")
 
 
@@ -118,36 +103,8 @@ def test_criterion_4_manufactured_quadratic_table():
 
 def test_criterion_5_linear_classification_suite():
     checks = Checks()
-    tol = 2e-2
-
-    problem, report = fixture_report("linear_x12")
-    err_s = compare_to_exact(report.sol_subst, problem.exact).sup
-    err_b = compare_to_exact(report.sol_byparts, problem.exact).sup
-    checks.add("x^1.2 verdict Reliable", report.verdict.reliable, f"verdict={report.verdict} dev={report.deviation:.2e}")
-    checks.add("x^1.2 subst within 2e-2", err_s <= tol, f"{err_s:.2e}")
-    checks.add("x^1.2 byparts within 2e-2", err_b <= tol, f"{err_b:.2e}")
-
-    _problem, report = fixture_report("linear_sqrt")
-    checks.add("sqrt verdict not Reliable", not report.verdict.reliable, f"verdict={report.verdict}")
-    checks.add(
-        "sqrt deviation >= 10x threshold",
-        report.deviation >= 10 * report.threshold,
-        f"dev={report.deviation:.2e} thr={report.threshold:.2e}",
-    )
-
-    problem, report = fixture_report("linear_quarter")
-    err_s = compare_to_exact(report.sol_subst, problem.exact).sup
-    err_b = compare_to_exact(report.sol_byparts, problem.exact).sup
-    checks.add("quarter verdict not Reliable", not report.verdict.reliable, f"verdict={report.verdict} dev={report.deviation:.2e}")
-    checks.add("quarter byparts within 2e-2", err_b <= tol, f"{err_b:.2e}")
-    checks.add("quarter substitution NOT within 2e-2", err_s > tol, f"{err_s:.2e}")
-
-    problem, report = fixture_report("linear_hundredth")
-    err_s = compare_to_exact(report.sol_subst, problem.exact).sup
-    err_b = compare_to_exact(report.sol_byparts, problem.exact).sup
-    checks.add("hundredth verdict not Reliable", not report.verdict.reliable, f"verdict={report.verdict} dev={report.deviation:.2e}")
-    checks.add("hundredth substitution within 2e-2", err_s <= tol, f"{err_s:.2e}")
-    checks.add("hundredth byparts NOT within 2e-2", err_b > tol, f"{err_b:.2e}")
+    for check in run_figures():
+        checks.add(check.name, check.ok, check.line())
     checks.finish("5")
 
 

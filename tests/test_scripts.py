@@ -1,0 +1,36 @@
+"""Smoke tests for scripts/: each runs as a subprocess and prints its data rows."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, args, first_field",
+    [
+        ("classification_sweep.py", ["--fixtures", "linear_x12"], "linear_x12"),
+        ("order_study.py", ["--functions", "tan", "--alphas", "0.4", "--h-list", "4e-3,2e-3,1e-3"], "tan"),
+    ],
+)
+def test_script_prints_one_data_row(name, args, first_field):
+    proc = run_script(name, *args)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stdout.splitlines()[1:] if line and not line.startswith("-")]
+    assert [row.split()[0] for row in rows] == [first_field]

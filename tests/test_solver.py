@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from fracdual.caputo import FractionalOrder, GridFunction, MethodKind
-from fracdual.expr import parse_expression
+from fracdual.expr import evaluate, parse_expression
+from fracdual.operators import operator_for
 from fracdual.solver import (
     EquationSpec,
     ResidualDomainError,
@@ -18,10 +19,10 @@ from fracdual.solver import (
     TermSpec,
     _Workspace,
     assemble_residual,
-    collocation_layout,
     grid_size,
     solve,
 )
+from fracdual.stencils import STENCILS
 
 E = parse_expression
 
@@ -66,6 +67,15 @@ class TestSpecValidation:
         )
         assert eq.n_ic == 2
 
+    @pytest.mark.parametrize("damping_min", [2.0, 0.0, -1.0, float("nan")])
+    def test_config_rejects_damping_min_outside_unit_interval(self, damping_min):
+        # above 1 no step is tried; at 0 or below the halving never stops
+        with pytest.raises(ValueError, match="damping_min"):
+            SolverConfig(h=0.1, damping_min=damping_min)
+
+    def test_config_accepts_full_step_floor(self):
+        assert SolverConfig(h=0.1, damping_min=1.0).damping_min == 1.0
+
 
 class TestGridAndLayout:
     def test_grid_size(self):
@@ -81,38 +91,35 @@ class TestGridAndLayout:
             grid_size(1.0, 0.2)
 
     def test_layout_single_condition(self):
-        plan = collocation_layout(simple_eq(T=1.0), SolverConfig(h=0.1))
-        assert plan.n_ic == 1
-        assert list(plan.collocation_nodes) == list(range(1, 11))
+        eq = simple_eq(T=1.0)
+        assert eq.n_ic == 1
+        assert grid_size(eq.interval_end, 0.1) == 10
 
     def test_layout_two_conditions(self):
         eq = simple_eq(alpha=1.5, du0=0.0)
-        plan = collocation_layout(eq, SolverConfig(h=0.1))
-        assert plan.n_ic == 2
-        assert list(plan.collocation_nodes) == list(range(2, 11))
+        assert eq.n_ic == 2
+        assert grid_size(eq.interval_end, 0.1) == 10
 
     def test_layout_square(self):
+        # n_ic condition rows plus one collocation row per node n_ic..m
         for alpha, h in ((0.3, 0.05), (1.9, 0.02), (1.0, 0.1)):
             eq = simple_eq(alpha=alpha, du0=0.0 if alpha > 1 else None)
-            plan = collocation_layout(eq, SolverConfig(h=h))
-            assert plan.n_ic + plan.collocation_nodes.size == plan.m + 1
-
-    def test_placement_labels(self):
-        plan = collocation_layout(simple_eq(), SolverConfig(h=0.1))
-        assert plan.placement(0) == "forward"
-        assert plan.placement(1) == "forward"
-        assert plan.placement(5) == "central"
-        assert plan.placement(9) == "backward"
-        assert plan.placement(10) == "backward"
+            m = grid_size(eq.interval_end, h)
+            u = np.linspace(0.0, 1.0, m + 1)
+            for method in MethodKind:
+                r = assemble_residual(eq, SolverConfig(h=h), method, GridFunction(h, u))
+                assert r.values.shape == (m + 1,)
+                J = _Workspace(eq, SolverConfig(h=h), method).jacobian(u)
+                assert J.shape == (m + 1, m + 1)
 
 
 class TestResidual:
     def test_constant_candidate_annihilated(self):
         # D^0.5 u = 0 with u identically at the initial value
         eq = simple_eq(u0=2.5)
-        cfg = SolverConfig(h=0.05, method=MethodKind.SUBSTITUTION)
+        cfg = SolverConfig(h=0.05)
         m = grid_size(1.0, 0.05)
-        r = assemble_residual(eq, cfg, GridFunction(0.05, np.full(m + 1, 2.5)))
+        r = assemble_residual(eq, cfg, MethodKind.SUBSTITUTION, GridFunction(0.05, np.full(m + 1, 2.5)))
         assert r.values[0] == 0.0
         assert np.max(np.abs(r.values[1:])) <= 1e-10
 
@@ -120,20 +127,25 @@ class TestResidual:
         # manufactured -x^2 problem: plugging the exact solution leaves
         # only discretization error at the collocation nodes
         problem, _report = solved_fixture("quasilinear_tan_exact")
-        cfg = SolverConfig(h=problem.h, method=MethodKind.SUBSTITUTION)
+        cfg = SolverConfig(h=problem.h)
         m = grid_size(problem.equation.interval_end, problem.h)
         x = np.arange(m + 1) * problem.h
-        r = assemble_residual(eq=problem.equation, cfg=cfg, candidate=GridFunction(problem.h, -(x**2)))
+        r = assemble_residual(
+            eq=problem.equation,
+            cfg=cfg,
+            method=MethodKind.SUBSTITUTION,
+            candidate=GridFunction(problem.h, -(x**2)),
+        )
         assert np.max(np.abs(r.values[1:])) <= 5e-4
 
     def test_sqrt_candidate_fails_near_zero(self):
         # expected-failure fixture: reconstructing u' of sqrt(x) near 0 is
         # poor, so the residual concentrates at the left edge
         eq = simple_eq(forcing="sqrt(x) - sqrt(pi)/2", rhs="u")
-        cfg = SolverConfig(h=0.01, method=MethodKind.SUBSTITUTION)
+        cfg = SolverConfig(h=0.01)
         m = grid_size(1.0, 0.01)
         x = np.arange(m + 1) * 0.01
-        r = assemble_residual(eq, cfg, GridFunction(0.01, np.sqrt(x)))
+        r = assemble_residual(eq, cfg, MethodKind.SUBSTITUTION, GridFunction(0.01, np.sqrt(x)))
         near_zero = np.max(np.abs(r.values[1:8]))
         interior = np.max(np.abs(r.values[m // 2 :]))
         assert near_zero > 5 * interior
@@ -141,9 +153,9 @@ class TestResidual:
 
     def test_grid_mismatch(self):
         eq = simple_eq()
-        cfg = SolverConfig(h=0.05, method=MethodKind.SUBSTITUTION)
+        cfg = SolverConfig(h=0.05)
         with pytest.raises(ValueError):
-            assemble_residual(eq, cfg, GridFunction(0.05, np.zeros(11)))
+            assemble_residual(eq, cfg, MethodKind.SUBSTITUTION, GridFunction(0.05, np.zeros(11)))
 
     @pytest.mark.parametrize("method", list(MethodKind))
     def test_jacobian_matches_residual_differences(self, method):
@@ -172,11 +184,53 @@ class TestResidual:
             fd[:, j] = (ws.residual(up) - r) / step
         assert np.max(np.abs(J - fd)) <= 1e-7 * np.max(np.abs(J))
 
+    @pytest.mark.parametrize("method", list(MethodKind))
+    @pytest.mark.parametrize("n_ic", [1, 2])
+    @pytest.mark.parametrize("scale", ["1", "1e-9"], ids=["collocation_row_max", "condition_row_max"])
+    def test_rounding_floor_sums_absolute_values(self, method, n_ic, scale):
+        # max over rows of |f| + |g| + sum_i |K_i| (|A_i| @ |u|), then the
+        # u0 row, then the u'(0) row, written out from the public pieces;
+        # scaling f, g and K down by 1e-9 makes a condition row the max
+        if n_ic == 1:
+            eq = simple_eq(
+                alpha=0.6, forcing=f"{scale}*(sin(x) - u^2)", rhs=f"{scale}*tan(u)", u0=0.3, coeff=f"{scale}*exp(x)"
+            )
+        else:
+            eq = EquationSpec(
+                terms=(
+                    TermSpec(E(f"{scale}*(x*u + 1)"), FractionalOrder(1.3)),
+                    TermSpec(E(f"{scale}*cos(u)"), FractionalOrder(0.6)),
+                ),
+                forcing=E(f"{scale}*(sin(x) + x*u^2)"),
+                rhs=E(f"{scale}*(sin(u) - u^2)"),
+                interval_end=1.0,
+                ic_u0=-0.2,
+                ic_du0=0.5,
+            )
+        h = 0.05
+        m = grid_size(eq.interval_end, h)
+        x = np.arange(m + 1) * h
+        u = -0.2 + 0.5 * x - 0.7 * np.sin(3 * x)
+        nic = eq.n_ic
+        xc, uc = x[nic:], u[nic:]
+        acc = np.abs(evaluate(eq.forcing, xc, uc)) + np.abs(evaluate(eq.rhs, xc, uc))
+        for t in eq.terms:
+            A = operator_for(method, t.order, h, m)
+            acc = acc + np.abs(evaluate(t.coeff, xc, uc)) * (np.abs(A) @ np.abs(u))[nic:]
+        expected = max(float(np.max(acc)), abs(u[0]) + abs(eq.ic_u0))
+        if nic == 2:
+            fwd = STENCILS[(1, "forward")]
+            du0 = np.abs(fwd.coefficients) @ np.abs(u[:3]) / (fwd.denominator * h)
+            expected = max(expected, float(du0) + abs(eq.ic_du0))
+        assert (expected == float(np.max(acc))) == (scale == "1")
+        got = _Workspace(eq, SolverConfig(h=h), method).residual_scale(u)
+        assert abs(got - expected) <= 1e-14 * expected
+
     def test_domain_error_reports_node(self):
         eq = simple_eq(rhs="ln(u)")
-        cfg = SolverConfig(h=0.1, method=MethodKind.SUBSTITUTION)
+        cfg = SolverConfig(h=0.1)
         with pytest.raises(ResidualDomainError) as err:
-            assemble_residual(eq, cfg, GridFunction(0.1, np.zeros(11)))
+            assemble_residual(eq, cfg, MethodKind.SUBSTITUTION, GridFunction(0.1, np.zeros(11)))
         assert err.value.node == 1
 
 
@@ -236,8 +290,7 @@ class TestSolve:
 
         problem, report = solved_fixture("linear_x12")
         for sol in (report.sol_subst, report.sol_byparts):
-            cfg = SolverConfig(h=problem.h, method=sol.method)
-            again = rebuild(problem.equation, cfg, sol.u)
+            again = rebuild(problem.equation, SolverConfig(h=problem.h), sol.method, sol.u)
             assert np.array_equal(again.values, sol.residual.values)
 
     def test_converged_residual_bound(self, solved_fixture):
@@ -259,5 +312,9 @@ class TestSolve:
             solve(eq, cfg, method=MethodKind.SUBSTITUTION)
 
     def test_no_method_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             solve(simple_eq(), SolverConfig(h=0.1))
+        with pytest.raises(ValueError, match="MethodKind"):
+            solve(simple_eq(), SolverConfig(h=0.1), None)
+        with pytest.raises(ValueError, match="MethodKind"):
+            assemble_residual(simple_eq(), SolverConfig(h=0.1), None, GridFunction(0.1, np.zeros(11)))

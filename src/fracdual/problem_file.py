@@ -41,9 +41,9 @@ class ProblemFile:
     exact: Optional[ExpressionTree] = None
     threshold: Optional[float] = None
 
-    def config(self, **overrides) -> SolverConfig:
-        """Solver settings at the file's step; any keyword (``h`` too) overrides."""
-        return SolverConfig(**{"h": self.h, **overrides})
+    def config(self, h: Optional[float] = None) -> SolverConfig:
+        """Solver settings at the file's step, or at ``h`` when given."""
+        return SolverConfig(self.h if h is None else h)
 
 
 def _unquote(value: str, lineno: int) -> str:

@@ -8,6 +8,8 @@ passed to ``solve`` or ``assemble_residual``. The square nonlinear
 system is solved globally (all nodes at once) by damped Newton with a
 forward-difference Jacobian and a dense LU step. A solve holds one dense
 (m+1)^2 operator per term and, while an iteration runs, the Jacobian.
+The step h is the only setting: Newton's are the constants below, so
+both methods of a dual solve run under one solver.
 """
 
 from __future__ import annotations
@@ -35,10 +37,14 @@ __all__ = [
     "solve",
 ]
 
-# Converged means the residual is at the configured tolerance or at the
+# Converged means max|r| <= NEWTON_TOL * (1 + max|u|), or max|r| at the
 # rounding floor of its own evaluation: eps times the absolute-value sum
 # that the residual cancellation runs over, with this safety factor.
+NEWTON_TOL = 1e-12
 RESIDUAL_FLOOR_FACTOR = 256.0
+# Iterations per starting guess; the line search halves the step from 1 to this.
+NEWTON_MAX_ITER = 50
+DAMPING_MIN = 1.0 / 64.0
 
 class SolverDomainError(RuntimeError):
     """Expression domain errors blocked every damping level; cannot proceed."""
@@ -80,8 +86,13 @@ class EquationSpec:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("equation needs at least one fractional term")
+        for name, value in (("interval_end", self.interval_end), ("ic_u0", self.ic_u0), ("ic_du0", self.ic_du0)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.interval_end <= 0.0:
             raise ValueError(f"interval end must be positive, got {self.interval_end}")
+        if self.n_ic > 2:
+            raise ValueError(f"orders above 2 need a u''(0) condition, got {self.max_alpha}")
         needs_du0 = self.max_alpha > 1.0
         if needs_du0 and self.ic_du0 is None:
             raise ValueError("orders above 1 require the first-derivative initial condition")
@@ -100,17 +111,10 @@ class EquationSpec:
 @dataclass(frozen=True)
 class SolverConfig:
     h: float
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
-    damping_min: float = 1.0 / 64.0
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError(f"step must be positive, got {self.h}")
-        if self.newton_tol <= 0.0 or self.newton_max_iter < 1:
-            raise ValueError("bad Newton parameters")
-        if not 0.0 < self.damping_min <= 1.0:
-            raise ValueError(f"damping_min must lie in (0, 1], got {self.damping_min}")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise ValueError(f"step must be positive and finite, got {self.h}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +128,8 @@ class Solution:
 
 def grid_size(T: float, h: float) -> int:
     """Number of steps m with m*h = T; validates divisibility and m >= 8."""
+    if not (math.isfinite(T) and math.isfinite(h) and h > 0.0):
+        raise ValueError(f"need a finite interval end and a positive finite step, got T={T}, h={h}")
     ratio = T / h
     m = int(round(ratio))
     if m < 8:
@@ -156,8 +162,11 @@ class _Workspace:
         self.n_ic = eq.n_ic
         self.ops = [operator_for(method, t.order, h, m) for t in eq.terms]
         self.xc = self.x[self.n_ic :]
-        fwd = STENCILS[(1, "forward")]  # the u'(0) row, divided after the product
-        self.du0_row, self.du0_denom = np.asarray(fwd.coefficients), fwd.denominator * h
+        # u(0) and u'(0) rows on u[:3], divided by the denominator after the product
+        fwd = STENCILS[(1, "forward")]
+        self.ic_rows = np.array([(1.0, 0.0, 0.0), fwd.coefficients][: self.n_ic])
+        self.ic_denom = np.array([1.0, fwd.denominator * h][: self.n_ic])
+        self.ic_vals = np.array([eq.ic_u0, eq.ic_du0][: self.n_ic], dtype=float)
 
     def _parts(self, uc: np.ndarray):
         """f, g and every K_i at the collocation nodes, given u there."""
@@ -167,11 +176,9 @@ class _Workspace:
         return f, g, [_tree_eval(t.coeff, xc, uc, nic) for t in eq.terms]
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        eq, nic = self.eq, self.n_ic
+        nic = self.n_ic
         r = np.empty(self.m + 1)
-        r[0] = u[0] - eq.ic_u0
-        if nic == 2:
-            r[1] = float(self.du0_row @ u[:3]) / self.du0_denom - eq.ic_du0
+        r[:nic] = self.ic_rows @ u[:3] / self.ic_denom - self.ic_vals
         f, g, Ks = self._parts(u[nic:])
         acc = f - g
         for K, A in zip(Ks, self.ops):
@@ -185,17 +192,14 @@ class _Workspace:
         |A| is formed per term here rather than kept for the solve: this
         runs only when the tolerance test fails.
         """
-        eq, nic = self.eq, self.n_ic
+        nic = self.n_ic
         au = np.abs(u)
         f, g, Ks = self._parts(u[nic:])
         acc = np.abs(f) + np.abs(g)
         for K, A in zip(Ks, self.ops):
             acc = acc + np.abs(K) * (np.abs(A) @ au)[nic:]
-        scale = float(np.max(acc))
-        scale = max(scale, abs(u[0]) + abs(eq.ic_u0))
-        if nic == 2:
-            scale = max(scale, float(np.abs(self.du0_row) @ au[:3]) / self.du0_denom + abs(eq.ic_du0))
-        return scale
+        ic = np.abs(self.ic_rows) @ au[:3] / self.ic_denom + np.abs(self.ic_vals)
+        return max(float(np.max(acc)), float(np.max(ic)))
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         """Forward-difference Jacobian, column step 1e-7*(1+|u_j|).
@@ -214,15 +218,10 @@ class _Workspace:
         diag = np.zeros(m + 1 - nic)
         for K, Kp, A in zip(Ks, Kps, self.ops):
             J[nic:, :] += K[:, None] * A[nic:, :]
-            base = (A @ u)[nic:]
-            diag += (Kp - K) / epsc * base + (Kp - K) * np.diag(A)[nic:]
+            diag += (Kp - K) / epsc * (A @ u)[nic:] + (Kp - K) * np.diag(A)[nic:]
         diag += (fp - f) / epsc - (gp - g) / epsc
         J[np.arange(nic, m + 1), np.arange(nic, m + 1)] += diag
-        J[0, :] = 0.0
-        J[0, 0] = 1.0
-        if nic == 2:
-            J[1, :] = 0.0
-            J[1, 0:3] = self.du0_row / self.du0_denom
+        J[:nic, :3] = self.ic_rows / self.ic_denom[:, None]
         return J
 
 
@@ -243,32 +242,33 @@ def assemble_residual(
     return GridFunction(cfg.h, ws.residual(np.asarray(candidate.values, dtype=float)))
 
 
-def _converged(r: np.ndarray, u: np.ndarray, ws: _Workspace, tol: float) -> bool:
+def _converged(r: np.ndarray, u: np.ndarray, ws: _Workspace) -> bool:
     rnorm = float(np.max(np.abs(r)))
-    limit = tol * (1.0 + float(np.max(np.abs(u))))
+    limit = NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
     if rnorm <= limit:
         return True
     floor = RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * ws.residual_scale(u)
     return rnorm <= floor
 
 
-def _newton(ws: _Workspace, u0: np.ndarray, cfg: SolverConfig):
+def _newton(ws: _Workspace, u0: np.ndarray):
     u = u0.copy()
     r = ws.residual(u)  # ResidualDomainError propagates: bad starting point
+    if not np.isfinite(r).all():
+        raise ResidualDomainError("non-finite starting residual", int(np.flatnonzero(~np.isfinite(r))[0]))
     iters = 0
-    for _ in range(cfg.newton_max_iter):
-        if _converged(r, u, ws, cfg.newton_tol):
+    for _ in range(NEWTON_MAX_ITER):
+        if _converged(r, u, ws):
             return u, r, iters, True
-        J = ws.jacobian(u)
-        try:
-            delta = np.linalg.solve(J, -r)
+        try:  # J is freed here, not held through the line search and the next build
+            delta = np.linalg.solve(ws.jacobian(u), -r)
         except np.linalg.LinAlgError:
             return u, r, iters, False
         rnorm = float(np.max(np.abs(r)))
         lam = 1.0
         accepted = None
         domain_blocked = True
-        while lam >= cfg.damping_min:
+        while lam >= DAMPING_MIN:
             try:
                 r_try = ws.residual(u + lam * delta)
             except ResidualDomainError:
@@ -288,7 +288,7 @@ def _newton(ws: _Workspace, u0: np.ndarray, cfg: SolverConfig):
         u = u + accepted[0] * delta
         r = accepted[1]
         iters += 1
-    return u, r, iters, _converged(r, u, ws, cfg.newton_tol)
+    return u, r, iters, _converged(r, u, ws)
 
 
 def solve(eq: EquationSpec, cfg: SolverConfig, method: MethodKind) -> Solution:
@@ -303,16 +303,14 @@ def solve(eq: EquationSpec, cfg: SolverConfig, method: MethodKind) -> Solution:
     guesses = [np.full(ws.m + 1, float(eq.ic_u0))]
     if eq.ic_du0 is not None and eq.ic_du0 != 0.0:
         guesses.append(eq.ic_u0 + eq.ic_du0 * ws.x)
-    last_exc = None
-    result = None
+    result = last_exc = None
     for guess in guesses:
         try:
-            u, r, iters, ok = _newton(ws, guess, cfg)
+            result = _newton(ws, guess)  # kept when a later guess raises
         except (ResidualDomainError, SolverDomainError) as exc:
             last_exc = exc
             continue
-        result = (u, r, iters, ok)
-        if ok:
+        if result[3]:
             break
     if result is None:
         raise SolverDomainError(str(last_exc))

@@ -90,6 +90,18 @@ def test_dual_verdict_line_domain_failure(tmp_path):
     assert verdict.startswith("verdict=MethodFailed(substitution,byparts) deviation=nan threshold=")
 
 
+def test_overflowing_forcing_is_a_failure_not_an_error(tmp_path):
+    # exp(1000*x) overflows from x = 0.71 on: node 15 at h = 0.05
+    path = tmp_path / "overflow.prob"
+    path.write_text(TINY_PROBLEM.replace('forcing = "x^1.2', 'forcing = "exp(1000*x) + x^1.2'), encoding="utf-8")
+    code, text = run(["dual", "--problem", str(path)], tmp_path / "d.csv")
+    assert code == 0
+    assert text.strip().split("\n")[-1].startswith("verdict=MethodFailed(substitution,byparts) deviation=nan ")
+    code, text = run(["solve", "--problem", str(path), "--method", "subst"], tmp_path / "s.csv")
+    assert code == 0
+    assert text == "converged=false reason=non-finite starting residual at node 15\n"
+
+
 def test_single_method_solve(tiny_problem, tmp_path):
     code, text = run(["solve", "--problem", str(tiny_problem), "--method", "subst"], tmp_path / "s1.csv")
     assert code == 0

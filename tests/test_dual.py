@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdual.bench import derivative_table
 from fracdual.caputo import FractionalOrder, GridFunction, MethodKind
@@ -14,6 +16,7 @@ from fracdual.dual import (
     inter_method_difference,
 )
 from fracdual.expr import parse_expression
+from fracdual.problem_file import parse_problem_text
 from fracdual.solver import EquationSpec, Solution, SolverConfig, TermSpec, solve
 
 
@@ -69,6 +72,20 @@ class TestVerdicts:
         assert report.verdict.failed == (MethodKind.SUBSTITUTION, MethodKind.BYPARTS)
         assert math.isnan(report.deviation)
         assert not report.verdict.reliable
+
+    def test_overflowing_forcing_reports_no_deviation(self):
+        # exp(1000*x) overflows on the grid: the starting residual is not
+        # finite, so neither method has an iterate to compare
+        eq = EquationSpec(
+            terms=(TermSpec(parse_expression("1"), FractionalOrder(0.5)),),
+            forcing=parse_expression("exp(1000*x)"),
+            rhs=parse_expression("u"),
+            interval_end=1.0,
+            ic_u0=0.0,
+        )
+        report = dual_solve(eq, SolverConfig(h=0.1))
+        assert report.verdict.failed == (MethodKind.SUBSTITUTION, MethodKind.BYPARTS)
+        assert math.isnan(report.deviation)
 
     def test_reliable_iff_converged_and_within(self, solved_fixture):
         _problem, report = solved_fixture("linear_x12")
@@ -210,3 +227,35 @@ def test_dual_report_carries_both_solutions(solved_fixture):
     assert report.sol_subst.method is MethodKind.SUBSTITUTION
     assert report.sol_byparts.method is MethodKind.BYPARTS
     assert report.threshold == default_threshold(0.01)
+
+
+# Expressions that overflow, divide by zero or leave their domain on
+# small grids, next to harmless ones.
+_POOL = ("0", "1", "x", "u", "x*u + 1", "sin(x)", "u^2", "exp(u)", "exp(1000*x)", "1/u", "ln(u)", "gamma(u)")
+
+
+@st.composite
+def _problem_texts(draw):
+    pick = st.sampled_from(_POOL)
+    alphas = draw(st.lists(st.sampled_from((0.3, 0.5, 1.0, 1.2, 1.5, 2.0)), min_size=1, max_size=2))
+    lines = []
+    for i, alpha in enumerate(alphas):
+        lines += [f'term.{i}.coeff = "{draw(pick)}"', f"term.{i}.alpha = {alpha}"]
+    lines += [f'forcing = "{draw(pick)}"', f'rhs = "{draw(pick)}"', "T = 1.0"]
+    lines += [f"h = {draw(st.sampled_from((1 / 8, 1 / 10, 1 / 16)))}"]
+    lines += [f"ic.u0 = {draw(st.sampled_from((0.0, 1.0, -0.5)))}"]
+    if max(alphas) > 1.0:
+        lines += [f"ic.du0 = {draw(st.sampled_from((0.0, 2.0)))}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_problem_texts())
+def test_dual_solve_reports_on_any_parsed_problem(text):
+    problem = parse_problem_text(text)
+    report = dual_solve(problem.equation, problem.config())
+    failed = tuple(s.method for s in (report.sol_subst, report.sol_byparts) if not s.converged)
+    assert report.verdict.failed == failed
+    assert (report.verdict.kind is VerdictKind.METHOD_FAILED) == bool(failed)
+    if not failed:
+        assert report.verdict.reliable == (report.deviation <= report.threshold)

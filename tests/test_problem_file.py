@@ -79,6 +79,22 @@ def test_grid_divisibility_checked():
         parse_problem_text(MINIMAL.replace("h = 0.1", "h = 0.03"))
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("h = 0.1", "h = nan", "positive finite step, got T=1.0, h=nan"),
+        ("h = 0.1", "h = 0", "positive finite step, got T=1.0, h=0.0"),
+        ("T = 1.0", "T = nan", "interval_end must be finite, got nan"),
+        ("T = 1.0", "T = inf", "interval_end must be finite, got inf"),
+        ("ic.u0 = 0.0", "ic.u0 = nan", "ic_u0 must be finite, got nan"),
+        ("term.0.alpha = 0.5", "term.0.alpha = 1.5\nic.du0 = -inf", "ic_du0 must be finite, got -inf"),
+    ],
+)
+def test_non_finite_values_rejected(old, new, message):
+    with pytest.raises(ProblemFileError, match=message):
+        parse_problem_text(MINIMAL.replace(old, new))
+
+
 def test_ic_mismatch_reported():
     bad = MINIMAL.replace("term.0.alpha = 0.5", "term.0.alpha = 1.5")
     with pytest.raises(ProblemFileError, match="initial condition"):
@@ -113,9 +129,11 @@ def test_parse_problem_bad_path_message(tmp_path):
 
 def test_config_override_resolves_fixture_at_another_step(solved_fixture):
     problem, base = solved_fixture("linear_x12")
-    cfg = problem.config(h=2 * problem.h, newton_tol=1e-11)
-    assert (cfg.h, cfg.newton_tol) == (0.02, 1e-11)
+    cfg = problem.config(h=2 * problem.h)
+    assert cfg.h == 0.02
     assert problem.config().h == problem.h
+    with pytest.raises(TypeError):
+        problem.config(newton_tol=1e-11)
     report = dual_solve(problem.equation, cfg, threshold=problem.threshold)
     assert report.sol_subst.u.m == 50
     assert report.verdict.reliable

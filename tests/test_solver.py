@@ -5,6 +5,8 @@ module checks the machinery on small grids plus the pinned per-solution
 values the benchmarks publish.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from fracdual.solver import (
     SolverConfig,
     SolverDomainError,
     TermSpec,
+    _newton,
     _Workspace,
     assemble_residual,
     grid_size,
@@ -67,14 +70,29 @@ class TestSpecValidation:
         )
         assert eq.n_ic == 2
 
-    @pytest.mark.parametrize("damping_min", [2.0, 0.0, -1.0, float("nan")])
-    def test_config_rejects_damping_min_outside_unit_interval(self, damping_min):
-        # above 1 no step is tried; at 0 or below the halving never stops
-        with pytest.raises(ValueError, match="damping_min"):
-            SolverConfig(h=0.1, damping_min=damping_min)
+    @pytest.mark.parametrize("field", ["T", "u0", "du0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_equation_rejects_non_finite_data(self, field, value):
+        data = {"alpha": 1.5, "T": 1.0, "u0": 0.0, "du0": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"finite, got {value}"):
+            simple_eq(**data)
 
-    def test_config_accepts_full_step_floor(self):
-        assert SolverConfig(h=0.1, damping_min=1.0).damping_min == 1.0
+    def test_orders_above_two_rejected(self):
+        # the equation carries u(0) and u'(0) only
+        assert simple_eq(alpha=2.0, du0=0.0).n_ic == 2
+        with pytest.raises(ValueError, match=r"u''\(0\)"):
+            simple_eq(alpha=2.5, du0=0.0)
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_config_rejects_bad_step(self, h):
+        with pytest.raises(ValueError, match=f"positive and finite, got {h}"):
+            SolverConfig(h=h)
+
+    @pytest.mark.parametrize("knob", ["newton_tol", "newton_max_iter", "damping_min"])
+    def test_step_is_the_only_setting(self, knob):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["h"]
+        with pytest.raises(TypeError):
+            SolverConfig(h=0.1, **{knob: 1.0})
 
 
 class TestGridAndLayout:
@@ -89,6 +107,19 @@ class TestGridAndLayout:
     def test_grid_rejects_coarse(self):
         with pytest.raises(ValueError):
             grid_size(1.0, 0.2)
+
+    @pytest.mark.parametrize(
+        "T, h, message",
+        [
+            (float("nan"), 0.1, "got T=nan, h=0.1"),
+            (float("inf"), 0.1, "got T=inf, h=0.1"),
+            (1.0, float("nan"), "got T=1.0, h=nan"),
+            (1.0, 0.0, "got T=1.0, h=0.0"),
+        ],
+    )
+    def test_grid_rejects_non_finite(self, T, h, message):
+        with pytest.raises(ValueError, match=message):
+            grid_size(T, h)
 
     def test_layout_single_condition(self):
         eq = simple_eq(T=1.0)
@@ -310,6 +341,29 @@ class TestSolve:
         cfg = SolverConfig(h=0.1)
         with pytest.raises(SolverDomainError):
             solve(eq, cfg, method=MethodKind.SUBSTITUTION)
+
+    def test_overflowing_starting_residual_is_a_domain_failure(self):
+        # exp(1000*x) overflows from x = 0.71 on: node 8 at h = 0.1
+        eq = simple_eq(forcing="exp(1000*x)", rhs="u")
+        ws = _Workspace(eq, SolverConfig(h=0.1), MethodKind.SUBSTITUTION)
+        with pytest.raises(ResidualDomainError) as err:
+            _newton(ws, np.zeros(ws.m + 1))
+        assert err.value.node == 8
+        with pytest.raises(SolverDomainError, match="non-finite starting residual at node 8"):
+            solve(eq, SolverConfig(h=0.1), MethodKind.SUBSTITUTION)
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_linear_guess_rescues_failed_constant_guess(self, method):
+        # Newton from u = 0 fails for both methods; from u = 2x it converges
+        eq = simple_eq(alpha=1.2, rhs="exp(u)", du0=2.0)
+        cfg = SolverConfig(h=0.02)
+        ws = _Workspace(eq, cfg, method)
+        assert not _newton(ws, np.zeros(ws.m + 1))[3]
+        _u, _r, iters, ok = _newton(ws, 2.0 * ws.x)
+        assert ok
+        sol = solve(eq, cfg, method)
+        assert sol.converged
+        assert sol.newton_iters == iters
 
     def test_no_method_rejected(self):
         with pytest.raises(TypeError):

@@ -7,6 +7,7 @@ Disagreement or non-convergence is a verdict, not an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -105,6 +106,9 @@ def dual_solve(
     method failing. Such a method has no iterate: its Solution holds zero
     placeholders for u and the residual, and the deviation is nan.
     """
+    thr = default_threshold(cfg.h) if threshold is None else float(threshold)
+    if not (math.isfinite(thr) and thr > 0.0):
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     sols = {}
     failed = []
     domain_failed = False
@@ -125,7 +129,6 @@ def dual_solve(
     else:
         diff = float(np.max(np.abs(a.u.values - b.u.values)))
         deviation = diff / max(1.0, float(np.max(np.abs(b.u.values))))
-    thr = default_threshold(cfg.h) if threshold is None else float(threshold)
     if failed:
         verdict = Verdict(VerdictKind.METHOD_FAILED, tuple(failed))
     elif deviation <= thr:

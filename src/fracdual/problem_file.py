@@ -9,6 +9,7 @@ by dump_problem reparses to an identical specification.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -126,12 +127,10 @@ def parse_problem_text(text: str) -> ProblemFile:
         grid_size(equation.interval_end, h)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
-    return ProblemFile(
-        equation=equation,
-        h=h,
-        exact=exprs.get("exact"),
-        threshold=scalars.get("threshold"),
-    )
+    threshold = scalars.get("threshold")
+    if threshold is not None and not (math.isfinite(threshold) and threshold > 0.0):
+        raise ProblemFileError(f"threshold must be positive and finite, got {threshold}")
+    return ProblemFile(equation=equation, h=h, exact=exprs.get("exact"), threshold=threshold)
 
 
 def parse_problem(path) -> ProblemFile:

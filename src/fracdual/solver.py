@@ -6,16 +6,17 @@ condition, then one collocation row per remaining node, with the
 fractional derivatives represented by the dense operators of the method
 passed to ``solve`` or ``assemble_residual``. The square nonlinear
 system is solved globally (all nodes at once) by damped Newton with a
-forward-difference Jacobian and a dense LU step. A solve holds one dense
-(m+1)^2 operator per term and, while an iteration runs, the Jacobian.
-The step h is the only setting: Newton's are the constants below, so
-both methods of a dual solve run under one solver.
+forward-difference Jacobian, each step an O(m^2) blocked QR of that
+banded-upper matrix. A solve holds one (m+1)^2 operator per term and one
+(m+1)^2 scratch array for the Jacobian. The step h is the only setting:
+Newton's are the constants below, so both methods run under one solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -45,6 +46,10 @@ RESIDUAL_FLOOR_FACTOR = 256.0
 # Iterations per starting guess; the line search halves the step from 1 to this.
 NEWTON_MAX_ITER = 50
 DAMPING_MIN = 1.0 / 64.0
+# J[i, j] = 0 for j > i + _BANDWIDTH: central rows reach i + 2, and the
+# one-sided row 1 reaches A[1, 4] (by-parts, and substitution at n = 2).
+_BANDWIDTH = 3
+_BLOCK = 32  # columns per QR panel of the Newton step, rows per Jacobian block
 
 class SolverDomainError(RuntimeError):
     """Expression domain errors blocked every damping level; cannot proceed."""
@@ -175,54 +180,91 @@ class _Workspace:
         g = _tree_eval(eq.rhs, xc, uc, nic)
         return f, g, [_tree_eval(t.coeff, xc, uc, nic) for t in eq.terms]
 
-    def residual(self, u: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _scratch(self) -> np.ndarray:
+        """The one (m+1)^2 work array of the solve, made on first use."""
+        return np.empty((self.m + 1, self.m + 1))
+
+    def residual_terms(self, u: np.ndarray):
+        """The residual of u and the products A_i @ u it was formed from."""
         nic = self.n_ic
         r = np.empty(self.m + 1)
         r[:nic] = self.ic_rows @ u[:3] / self.ic_denom - self.ic_vals
         f, g, Ks = self._parts(u[nic:])
-        acc = f - g
-        for K, A in zip(Ks, self.ops):
-            acc = acc + K * (A @ u)[nic:]
+        products = [A @ u for A in self.ops]
+        # overflow makes a non-finite residual, which the Newton loop rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = f - g
+            for K, Au in zip(Ks, products):
+                acc = acc + K * Au[nic:]
         r[nic:] = acc
-        return r
+        return r, products
+
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        return self.residual_terms(u)[0]
 
     def residual_scale(self, u: np.ndarray) -> float:
         """Absolute-value magnitude the residual sums cancel over.
 
-        |A| is formed per term here rather than kept for the solve: this
-        runs only when the tolerance test fails.
+        |A| is written into the scratch array per term rather than kept
+        for the solve: this runs only when the tolerance test fails.
         """
         nic = self.n_ic
         au = np.abs(u)
         f, g, Ks = self._parts(u[nic:])
         acc = np.abs(f) + np.abs(g)
         for K, A in zip(Ks, self.ops):
-            acc = acc + np.abs(K) * (np.abs(A) @ au)[nic:]
+            acc = acc + np.abs(K) * (np.abs(A, out=self._scratch) @ au)[nic:]
         ic = np.abs(self.ic_rows) @ au[:3] / self.ic_denom + np.abs(self.ic_vals)
         return max(float(np.max(acc)), float(np.max(ic)))
 
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
+    def jacobian(self, u: np.ndarray, products=None) -> np.ndarray:
         """Forward-difference Jacobian, column step 1e-7*(1+|u_j|).
 
         Expression trees act pointwise, so the finite-difference column j
         differs from the linear part only in its diagonal entry; the
         closed form below reproduces the column-by-column differences
-        without m+1 full residual evaluations.
+        without m+1 full residual evaluations. ``products`` are the
+        A_i @ u of ``residual_terms(u)``; J is the scratch array.
         """
         nic, m = self.n_ic, self.m
         eps = 1e-7 * (1.0 + np.abs(u))
         uc, epsc = u[nic:], eps[nic:]
         f, g, Ks = self._parts(uc)
         fp, gp, Kps = self._parts(uc + epsc)
-        J = np.zeros((m + 1, m + 1))
+        products = [A @ u for A in self.ops] if products is None else products
         diag = np.zeros(m + 1 - nic)
-        for K, Kp, A in zip(Ks, Kps, self.ops):
-            J[nic:, :] += K[:, None] * A[nic:, :]
-            diag += (Kp - K) / epsc * (A @ u)[nic:] + (Kp - K) * np.diag(A)[nic:]
+        for K, Kp, A, Au in zip(Ks, Kps, self.ops, products):
+            diag += (Kp - K) / epsc * Au[nic:] + (Kp - K) * np.diag(A)[nic:]
         diag += (fp - f) / epsc - (gp - g) / epsc
-        J[np.arange(nic, m + 1), np.arange(nic, m + 1)] += diag
+        J = self._scratch
+        J[:nic] = 0.0
         J[:nic, :3] = self.ic_rows / self.ic_denom[:, None]
+        for k in range(0, m + 1 - nic, _BLOCK):  # no (m+1)^2 temporaries
+            rows = slice(nic + k, nic + k + _BLOCK)
+            J[rows] = sum(K[k : k + _BLOCK, None] * A[rows] for K, A in zip(Ks, self.ops))
+        J[np.arange(nic, m + 1), np.arange(nic, m + 1)] += diag
         return J
+
+
+def _solve_upper_banded(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """x with J x = r, for J[i, j] = 0 when j > i + _BANDWIDTH; destroys J.
+
+    Reversed, J has lower bandwidth _BANDWIDTH: the Householder QR of a
+    panel of _BLOCK columns spans _BANDWIDTH more rows, and one product
+    applies its Q to the rest of them. Then block back substitution; a
+    singular J leaves a zero on R's diagonal and raises LinAlgError.
+    """
+    R, y = J[::-1, ::-1], r[::-1].copy()
+    for k in range(0, y.size, _BLOCK):
+        e, p = k + _BLOCK, slice(k, k + _BLOCK + _BANDWIDTH)
+        Q, R[p, k:e] = np.linalg.qr(R[p, k:e], mode="complete")
+        R[p, e:] = Q.T @ R[p, e:]
+        y[p] = Q.T @ y[p]
+    for k in reversed(range(0, y.size, _BLOCK)):
+        e = k + _BLOCK
+        y[k:e] = np.linalg.solve(R[k:e, k:e], y[k:e] - R[k:e, e:] @ y[e:])
+    return y[::-1]
 
 
 def assemble_residual(
@@ -253,15 +295,15 @@ def _converged(r: np.ndarray, u: np.ndarray, ws: _Workspace) -> bool:
 
 def _newton(ws: _Workspace, u0: np.ndarray):
     u = u0.copy()
-    r = ws.residual(u)  # ResidualDomainError propagates: bad starting point
+    r, products = ws.residual_terms(u)  # ResidualDomainError propagates: bad starting point
     if not np.isfinite(r).all():
         raise ResidualDomainError("non-finite starting residual", int(np.flatnonzero(~np.isfinite(r))[0]))
     iters = 0
     for _ in range(NEWTON_MAX_ITER):
         if _converged(r, u, ws):
             return u, r, iters, True
-        try:  # J is freed here, not held through the line search and the next build
-            delta = np.linalg.solve(ws.jacobian(u), -r)
+        try:
+            delta = _solve_upper_banded(ws.jacobian(u, products), -r)
         except np.linalg.LinAlgError:
             return u, r, iters, False
         rnorm = float(np.max(np.abs(r)))
@@ -269,14 +311,15 @@ def _newton(ws: _Workspace, u0: np.ndarray):
         accepted = None
         domain_blocked = True
         while lam >= DAMPING_MIN:
+            trial = u + lam * delta
             try:
-                r_try = ws.residual(u + lam * delta)
+                r_try, p_try = ws.residual_terms(trial)
             except ResidualDomainError:
                 lam *= 0.5
                 continue
             domain_blocked = False
             if np.isfinite(r_try).all() and float(np.max(np.abs(r_try))) < rnorm:
-                accepted = (lam, r_try)
+                accepted = (trial, r_try, p_try)
                 break
             lam *= 0.5
         if accepted is None:
@@ -285,8 +328,7 @@ def _newton(ws: _Workspace, u0: np.ndarray):
                     "expression domain error at every damping level; solver cannot proceed"
                 )
             return u, r, iters, False  # stalled: non-convergence is data
-        u = u + accepted[0] * delta
-        r = accepted[1]
+        u, r, products = accepted
         iters += 1
     return u, r, iters, _converged(r, u, ws)
 

@@ -1,6 +1,9 @@
 """CLI surface tests: run main() in-process and inspect output files."""
 
 import math
+import re
+import warnings
+from importlib import resources
 
 import pytest
 
@@ -190,6 +193,33 @@ def test_bad_problem_file_exits_2(tmp_path, capsys):
     code = main(["solve", "--problem", str(bad), "--method", "dual"])
     assert code == 2
     assert "error: problem-file:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_bad_threshold_exits_2(tmp_path, capsys, value):
+    path = tmp_path / "threshold.prob"
+    path.write_text(TINY_PROBLEM + f"threshold = {value}\n", encoding="utf-8")
+    code = main(["dual", "--problem", str(path), "--out", str(tmp_path / "d.csv")])
+    assert code == 2
+    assert f"threshold must be positive and finite, got {float(value)}" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
+    # f - g is inf - inf at the overflowing nodes: a MethodFailed verdict,
+    # and nothing from numpy on stderr
+    text = resources.files("fracdual.fixtures").joinpath("linear_x12.prob").read_text("utf-8")
+    for key in ("forcing", "rhs"):
+        text = re.sub(rf"^{key} = .*$", f'{key} = "exp(1000*x)"', text, flags=re.MULTILINE)
+    path = tmp_path / "overflow.prob"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["dual", "--problem", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out.strip().split("\n")[-1].startswith("verdict=MethodFailed(substitution,byparts) deviation=nan ")
+    assert err == ""
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -102,6 +102,18 @@ class TestVerdicts:
         assert verdicts[0]
         assert all(verdicts), "reliable at a threshold must stay reliable at larger ones"
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_threshold_must_be_positive_and_finite(self, threshold):
+        eq = EquationSpec(
+            terms=(TermSpec(parse_expression("1"), FractionalOrder(0.5)),),
+            forcing=parse_expression("sin(x)"),
+            rhs=parse_expression("u"),
+            interval_end=1.0,
+            ic_u0=0.0,
+        )
+        with pytest.raises(ValueError, match=f"threshold must be positive and finite, got {threshold}"):
+            dual_solve(eq, SolverConfig(h=0.1), threshold=threshold)
+
     def test_explicit_threshold_override(self, solved_fixture):
         problem, base = solved_fixture("linear_x12")
         tight = dual_solve(problem.equation, problem.config(), threshold=base.deviation / 10.0)

@@ -1,13 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdual.bench import FIXTURES, load_fixture
+from fracdual.caputo import FractionalOrder
 from fracdual.dual import compare_to_exact, dual_solve
+from fracdual.expr import parse_expression
 from fracdual.problem_file import (
+    ProblemFile,
     ProblemFileError,
     dump_problem,
     parse_problem,
     parse_problem_text,
 )
+from fracdual.solver import EquationSpec, TermSpec
 
 MINIMAL = """
 # comment line
@@ -113,6 +119,12 @@ def test_threshold_and_exact_optional_keys():
     assert problem.exact is not None
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.0", "-1"])
+def test_threshold_must_be_positive_and_finite(value):
+    with pytest.raises(ProblemFileError, match=f"threshold must be positive and finite, got {float(value)}"):
+        parse_problem_text(MINIMAL + f"threshold = {value}\n")
+
+
 def test_parse_problem_from_path(tmp_path):
     path = tmp_path / "p.prob"
     path.write_text(MINIMAL, encoding="utf-8")
@@ -141,3 +153,31 @@ def test_config_override_resolves_fixture_at_another_step(solved_fixture):
     coarse = compare_to_exact(report.sol_subst, problem.exact).sup
     fine = compare_to_exact(base.sol_subst, problem.exact).sup
     assert coarse > fine
+
+
+_EXPRESSIONS = ("0", "1", "x", "u", "-u", "x*u + 1", "sin(x) - u^2", "exp(-x)", "2.5e-3*x^1.2", "ln(1 + x^2)/sqrt(pi)")
+_SCALARS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def _problems(draw):
+    expr = st.sampled_from(_EXPRESSIONS).map(parse_expression)
+    alphas = draw(st.lists(st.sampled_from((0.3, 0.5, 1.0, 1.2, 1.5, 2.0)), min_size=1, max_size=2))
+    h = draw(st.sampled_from((0.1, 0.05, 0.01, 1 / 16)))
+    equation = EquationSpec(
+        terms=tuple(TermSpec(draw(expr), FractionalOrder(a)) for a in alphas),
+        forcing=draw(expr),
+        rhs=draw(expr),
+        interval_end=draw(st.integers(8, 200)) * h,
+        ic_u0=draw(_SCALARS),
+        ic_du0=draw(_SCALARS) if max(alphas) > 1.0 else None,
+    )
+    exact = draw(st.none() | expr)
+    threshold = draw(st.none() | st.floats(min_value=1e-12, max_value=1e3))
+    return ProblemFile(equation=equation, h=h, exact=exact, threshold=threshold)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_problems())
+def test_dump_parse_round_trip(problem):
+    assert parse_problem_text(dump_problem(problem)) == problem

@@ -14,12 +14,14 @@ from fracdual.caputo import FractionalOrder, GridFunction, MethodKind
 from fracdual.expr import evaluate, parse_expression
 from fracdual.operators import operator_for
 from fracdual.solver import (
+    _BANDWIDTH,
     EquationSpec,
     ResidualDomainError,
     SolverConfig,
     SolverDomainError,
     TermSpec,
     _newton,
+    _solve_upper_banded,
     _Workspace,
     assemble_residual,
     grid_size,
@@ -372,3 +374,69 @@ class TestSolve:
             solve(simple_eq(), SolverConfig(h=0.1), None)
         with pytest.raises(ValueError, match="MethodKind"):
             assemble_residual(simple_eq(), SolverConfig(h=0.1), None, GridFunction(0.1, np.zeros(11)))
+
+
+def _upper_banded(n, p, seed):
+    # J[i, j] = 0 for j > i + p, diagonally dominant so well-conditioned
+    rng = np.random.default_rng(seed)
+    return np.tril(rng.uniform(-1.0, 1.0, (n, n)), p) / np.sqrt(n) + 2.0 * np.eye(n), rng.uniform(-1.0, 1.0, n)
+
+
+class TestBandedStep:
+    @pytest.mark.parametrize("n", [9, 31, 32, 33, 35, 64, 65, 1001])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_matches_dense_solve(self, n, p):
+        J, r = _upper_banded(n, p, seed=1000 * n + p)
+        x = _solve_upper_banded(J.copy(), r)
+        backward = np.max(np.abs(J @ x - r)) / (np.max(np.abs(J)) * np.max(np.abs(x)) + np.max(np.abs(r)))
+        assert backward <= 1e-14
+        assert np.max(np.abs(x - np.linalg.solve(J, r))) <= 1e-12 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("n", [9, 33, 65])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_singular_jacobian_raises(self, n, where):
+        J, r = _upper_banded(n, _BANDWIDTH, seed=n)
+        J[:, {"first": 0, "middle": n // 2, "last": n - 1}[where]] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_upper_banded(J, r)
+
+    def test_singular_jacobian_is_non_convergence(self, monkeypatch):
+        ws = _Workspace(simple_eq(forcing="sin(x)"), SolverConfig(h=0.1), MethodKind.BYPARTS)
+        jacobian = ws.jacobian
+
+        def singular(u, products=None):
+            J = jacobian(u, products)
+            J[:, 5] = 0.0
+            return J
+
+        monkeypatch.setattr(ws, "jacobian", singular)
+        _u, _r, iters, ok = _newton(ws, np.zeros(ws.m + 1))
+        assert (iters, ok) == (0, False)
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.3, 2.0])
+    @pytest.mark.parametrize("m", [8, 9, 10, 11, 12, 13, 40, 1000])
+    def test_bandwidth_is_pinned(self, method, alpha, m):
+        # every operator and Jacobian row stops _BANDWIDTH columns right of
+        # the diagonal; by-parts row 1 reaches exactly that far
+        order = FractionalOrder(alpha)
+        A = operator_for(method, order, 1.0 / m, m)
+        assert not np.triu(A, _BANDWIDTH + 1).any()
+        if method is MethodKind.BYPARTS:
+            assert A[1, 1 + _BANDWIDTH] != 0.0
+        eq = simple_eq(alpha=alpha, coeff="1 + x*u", forcing="u^2", du0=0.5 if alpha > 1.0 else None)
+        ws = _Workspace(eq, SolverConfig(h=1.0 / m), method)
+        assert ws.n_ic == (2 if alpha > 1.0 else 1)
+        J = ws.jacobian(0.3 + 0.5 * ws.x)
+        assert not np.triu(J, _BANDWIDTH + 1).any()
+
+    def test_one_scratch_array_per_solve(self):
+        ws = _Workspace(simple_eq(alpha=1.3, coeff="1 + x*u", du0=0.5), SolverConfig(h=0.1), MethodKind.BYPARTS)
+        u = 0.3 + 0.5 * ws.x
+        r, products = ws.residual_terms(u)
+        assert "_scratch" not in vars(ws)  # residuals alone never allocate it
+        J = ws.jacobian(u).copy()
+        again = ws.jacobian(u, products)
+        assert again is ws._scratch and np.array_equal(again, J)
+        ws.residual_scale(u)
+        assert ws._scratch is again

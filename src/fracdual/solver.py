@@ -7,16 +7,16 @@ fractional derivatives represented by the dense operators of the method
 passed to ``solve`` or ``assemble_residual``. The square nonlinear
 system is solved globally (all nodes at once) by damped Newton with a
 forward-difference Jacobian, each step an O(m^2) blocked QR of that
-banded-upper matrix. A solve holds one (m+1)^2 operator per term and one
-(m+1)^2 scratch array for the Jacobian. The step h is the only setting:
-Newton's are the constants below, so both methods run under one solver.
+banded-upper matrix. A solve holds one (m+1)^2 operator per term and,
+while a step runs, the Jacobian, which the QR factors in place. The
+step h is the only setting: Newton's are the constants below, so both
+methods run under one solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -180,11 +180,6 @@ class _Workspace:
         g = _tree_eval(eq.rhs, xc, uc, nic)
         return f, g, [_tree_eval(t.coeff, xc, uc, nic) for t in eq.terms]
 
-    @cached_property
-    def _scratch(self) -> np.ndarray:
-        """The one (m+1)^2 work array of the solve, made on first use."""
-        return np.empty((self.m + 1, self.m + 1))
-
     def residual_terms(self, u: np.ndarray):
         """The residual of u and the products A_i @ u it was formed from."""
         nic = self.n_ic
@@ -206,38 +201,37 @@ class _Workspace:
     def residual_scale(self, u: np.ndarray) -> float:
         """Absolute-value magnitude the residual sums cancel over.
 
-        |A| is written into the scratch array per term rather than kept
-        for the solve: this runs only when the tolerance test fails.
+        |A| is formed per term here rather than kept for the solve: this
+        runs only when the tolerance test fails.
         """
         nic = self.n_ic
         au = np.abs(u)
         f, g, Ks = self._parts(u[nic:])
         acc = np.abs(f) + np.abs(g)
         for K, A in zip(Ks, self.ops):
-            acc = acc + np.abs(K) * (np.abs(A, out=self._scratch) @ au)[nic:]
+            acc = acc + np.abs(K) * (np.abs(A) @ au)[nic:]
         ic = np.abs(self.ic_rows) @ au[:3] / self.ic_denom + np.abs(self.ic_vals)
         return max(float(np.max(acc)), float(np.max(ic)))
 
-    def jacobian(self, u: np.ndarray, products=None) -> np.ndarray:
+    def jacobian(self, u: np.ndarray, products: list) -> np.ndarray:
         """Forward-difference Jacobian, column step 1e-7*(1+|u_j|).
 
         Expression trees act pointwise, so the finite-difference column j
         differs from the linear part only in its diagonal entry; the
         closed form below reproduces the column-by-column differences
         without m+1 full residual evaluations. ``products`` are the
-        A_i @ u of ``residual_terms(u)``; J is the scratch array.
+        A_i @ u of ``residual_terms(u)``.
         """
         nic, m = self.n_ic, self.m
         eps = 1e-7 * (1.0 + np.abs(u))
         uc, epsc = u[nic:], eps[nic:]
         f, g, Ks = self._parts(uc)
         fp, gp, Kps = self._parts(uc + epsc)
-        products = [A @ u for A in self.ops] if products is None else products
         diag = np.zeros(m + 1 - nic)
         for K, Kp, A, Au in zip(Ks, Kps, self.ops, products):
             diag += (Kp - K) / epsc * Au[nic:] + (Kp - K) * np.diag(A)[nic:]
         diag += (fp - f) / epsc - (gp - g) / epsc
-        J = self._scratch
+        J = np.empty((m + 1, m + 1))
         J[:nic] = 0.0
         J[:nic, :3] = self.ic_rows / self.ic_denom[:, None]
         for k in range(0, m + 1 - nic, _BLOCK):  # no (m+1)^2 temporaries

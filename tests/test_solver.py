@@ -142,7 +142,8 @@ class TestGridAndLayout:
             for method in MethodKind:
                 r = assemble_residual(eq, SolverConfig(h=h), method, GridFunction(h, u))
                 assert r.values.shape == (m + 1,)
-                J = _Workspace(eq, SolverConfig(h=h), method).jacobian(u)
+                ws = _Workspace(eq, SolverConfig(h=h), method)
+                J = ws.jacobian(u, ws.residual_terms(u)[1])
                 assert J.shape == (m + 1, m + 1)
 
 
@@ -207,7 +208,7 @@ class TestResidual:
         )
         ws = _Workspace(eq, SolverConfig(h=0.1), method)
         u = 0.2 + 0.5 * ws.x - 0.3 * ws.x**2
-        J = ws.jacobian(u)
+        J = ws.jacobian(u, ws.residual_terms(u)[1])
         r = ws.residual(u)
         fd = np.empty_like(J)
         for j in range(u.size):
@@ -404,7 +405,7 @@ class TestBandedStep:
         ws = _Workspace(simple_eq(forcing="sin(x)"), SolverConfig(h=0.1), MethodKind.BYPARTS)
         jacobian = ws.jacobian
 
-        def singular(u, products=None):
+        def singular(u, products):
             J = jacobian(u, products)
             J[:, 5] = 0.0
             return J
@@ -427,16 +428,6 @@ class TestBandedStep:
         eq = simple_eq(alpha=alpha, coeff="1 + x*u", forcing="u^2", du0=0.5 if alpha > 1.0 else None)
         ws = _Workspace(eq, SolverConfig(h=1.0 / m), method)
         assert ws.n_ic == (2 if alpha > 1.0 else 1)
-        J = ws.jacobian(0.3 + 0.5 * ws.x)
-        assert not np.triu(J, _BANDWIDTH + 1).any()
-
-    def test_one_scratch_array_per_solve(self):
-        ws = _Workspace(simple_eq(alpha=1.3, coeff="1 + x*u", du0=0.5), SolverConfig(h=0.1), MethodKind.BYPARTS)
         u = 0.3 + 0.5 * ws.x
-        r, products = ws.residual_terms(u)
-        assert "_scratch" not in vars(ws)  # residuals alone never allocate it
-        J = ws.jacobian(u).copy()
-        again = ws.jacobian(u, products)
-        assert again is ws._scratch and np.array_equal(again, J)
-        ws.residual_scale(u)
-        assert ws._scratch is again
+        J = ws.jacobian(u, ws.residual_terms(u)[1])
+        assert not np.triu(J, _BANDWIDTH + 1).any()

@@ -9,6 +9,7 @@ computation and reports PASS/FAIL per datum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Union
@@ -125,10 +126,14 @@ def derivative_table(profile_name: str, alpha: float, h: float, points):
     Derivative samples come from the profile's analytic derivatives so
     the table isolates pure quadrature error.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step must be positive and finite, got {h}")
     profile = get_profile(profile_name)
     order = FractionalOrder(alpha)
     rows = []
     for x in points:
+        if not math.isfinite(x):
+            raise ValueError(f"point must be finite, got {x}")
         m = int(round(x / h))
         if m < 1 or abs(m * h - x) > 1e-8 * max(1.0, m):
             raise ValueError(f"point {x} is not on the step-{h} grid")

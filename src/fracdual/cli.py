@@ -13,6 +13,7 @@ reproduction-check failure, 2 usage/parse/IO error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -46,9 +47,10 @@ def _parse_points(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"point range must be start:stop:step, got {spec!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise ValueError(f"bad point range {spec!r}")
-        count = int(round((stop - start) / step))
+        # the last point is at or before stop, up to a 1e-9 relative slack
+        count = math.floor((stop - start) / step * (1.0 + 1e-9))
         return [start + i * step for i in range(count + 1)]
     return [float(p) for p in spec.split(",") if p.strip()]
 

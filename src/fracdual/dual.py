@@ -168,6 +168,9 @@ def convergence_study(
     hs = list(h_list)
     if len(hs) < 3:
         raise ValueError("need at least 3 step sizes")
+    for h in hs:
+        if not (math.isfinite(h) and h > 0.0):
+            raise ValueError(f"step must be positive and finite, got {h}")
     for a, b in zip(hs, hs[1:]):
         if abs(a / b - 2.0) > 1e-9:
             raise ValueError(f"steps must halve: {a} -> {b}")

@@ -327,9 +327,11 @@ def evaluate(tree: ExpressionTree, x=0.0, u=0.0):
     """Evaluate ``tree`` at (x, u).
 
     Scalars in, float out; numpy arrays in, array out (broadcasting the
-    scalar argument when only one is an array).
+    scalar argument when only one is an array). Overflow gives inf and
+    inf - inf gives nan, silently: callers check finiteness themselves.
     """
-    result = _eval(tree, x, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _eval(tree, x, u)
     if np.isscalar(x) and np.isscalar(u) and not isinstance(result, float):
         return float(result)
     return result

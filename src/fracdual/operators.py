@@ -1,4 +1,4 @@
-"""Fractional-derivative operators assembled from their Toeplitz kernels.
+"""Fractional-derivative operators kept as their Toeplitz kernels.
 
 Row k of an operator matrix A reproduces the corresponding scalar
 quadrature at t = k*h applied to stencil-reconstructed derivative
@@ -15,16 +15,17 @@ L is lower-triangular Toeplitz, L[k,j] = lam[k-j], apart from its column
 from one-sided rows at the ends. So every column that only central rows
 of B reach is Toeplitz too, A[k,l] = kappa[k-l] with kappa = lam
 convolved with B's central row. That holds outside the ``_EDGE`` columns
-at each end. Assembly writes kappa into the dense array once, then
-recomputes the edge columns exactly as sums of shifted columns of L
-(both ends together, so small grids where the ends overlap come out
-whole). It takes O(m) data and O(m^2) time, and builds one (m+1)x(m+1)
-array: the operator itself, which the solver's Jacobian needs dense.
-Nothing is cached: each solve builds its operators once and keeps them
-for its Newton iterations only.
+at each end, which assembly computes exactly as sums of shifted columns
+of L (both ends together, so small grids where the ends overlap come out
+whole). A ``ToeplitzOperator`` keeps just these O(m) numbers: it
+multiplies by correlation, and writes dense rows only for the Jacobian
+block being filled. Nothing is cached: each solve builds its operators
+once and keeps them for its Newton iterations only.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .caputo import FractionalOrder, MethodKind, power_weights
 from .special_functions import gamma
 from .stencils import apply_rows, difference_rows_3pt, differentiation_rows
 
-__all__ = ["fractional_operator", "operator_for"]
+__all__ = ["ToeplitzOperator", "fractional_operator", "operator_for"]
 
 # With stencils up to five wide, the columns that a one-sided row of S_n
 # or D S_n reaches, or whose central window runs off the grid, lie within
@@ -40,8 +41,41 @@ __all__ = ["fractional_operator", "operator_for"]
 _EDGE = 6
 
 
-def fractional_operator(method: MethodKind, effective: float, n: int, h: float, m: int) -> np.ndarray:
-    """(m+1)x(m+1) matrix A with (A u)_k = D^alpha u(x_k) under ``method``.
+@dataclass(frozen=True)
+class ToeplitzOperator:
+    """(m+1)x(m+1) matrix with row k rev[m-k : 2m-k+1], apart from the
+    columns ``cols``, which hold ``edge``. The arrays are read-only."""
+
+    rev: np.ndarray
+    cols: np.ndarray
+    edge: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.rev, self.cols, self.edge):
+            a.setflags(write=False)
+
+    def __matmul__(self, u) -> np.ndarray:
+        v = np.array(u, dtype=float)
+        v[self.cols] = 0.0
+        return np.correlate(self.rev, v)[::-1] + self.edge @ np.take(u, self.cols)
+
+    def __abs__(self) -> ToeplitzOperator:
+        return ToeplitzOperator(np.abs(self.rev), self.cols, np.abs(self.edge))
+
+    def diagonal(self) -> np.ndarray:
+        d = np.full(self.edge.shape[0], self.rev[self.rev.size // 2])
+        d[self.cols] = self.edge[self.cols, np.arange(self.cols.size)]
+        return d
+
+    def rows(self, k0: int, k1: int) -> np.ndarray:
+        """Dense rows k0 .. k1-1, cut at the last row."""
+        block = np.lib.stride_tricks.sliding_window_view(self.rev, self.edge.shape[0])[::-1][k0:k1].copy()
+        block[:, self.cols] = self.edge[k0:k1]
+        return block
+
+
+def fractional_operator(method: MethodKind, effective: float, n: int, h: float, m: int) -> ToeplitzOperator:
+    """(m+1)x(m+1) operator A with (A u)_k = D^alpha u(x_k) under ``method``.
 
     Substitution applies the trapezoid weights of the transformed
     integral to S_n u: W[k,j] = (w[k-j+1]-w[k-j-1])/2 for 1 <= j <= k
@@ -80,18 +114,13 @@ def fractional_operator(method: MethodKind, effective: float, n: int, h: float, 
             edge += np.outer(col0, B[0])
         else:
             edge[j:] += np.outer(lam[: m + 1 - j], B[j])
-
-    # kappa[d + lead] = A[k, l] at k - l = d; row k of A is the window
-    # rev[m-k : 2m-k+1] of the reversed kernel, zero above the band.
+    # the kernel kappa = lam * central has kappa[d + lead] = A[k, l] at
+    # k - l = d; rev holds it reversed, zero above the band
     lead = len(central) // 2
-    kappa = np.convolve(lam, central[::-1])
     rev = np.zeros(2 * m + 1)
-    rev[: m + lead + 1] = kappa[m + lead :: -1]
-    A = np.lib.stride_tricks.sliding_window_view(rev, m + 1)[::-1].copy()
-    A[:, cols] = edge
-    A.setflags(write=False)
-    return A
+    rev[: m + lead + 1] = np.convolve(lam, central[::-1])[m + lead :: -1]
+    return ToeplitzOperator(rev, cols, edge)
 
 
-def operator_for(method: MethodKind, order: FractionalOrder, h: float, m: int) -> np.ndarray:
+def operator_for(method: MethodKind, order: FractionalOrder, h: float, m: int) -> ToeplitzOperator:
     return fractional_operator(method, order.effective, order.n, h, m)

@@ -3,14 +3,14 @@
 An equation sum_i K_i(u,x) D^(alpha_i) u(x) + f(x,u) = g(u(x)) on [0, T]
 is discretized on the uniform grid x_k = k*h: one row per initial
 condition, then one collocation row per remaining node, with the
-fractional derivatives represented by the dense operators of the method
-passed to ``solve`` or ``assemble_residual``. The square nonlinear
-system is solved globally (all nodes at once) by damped Newton with a
-forward-difference Jacobian, each step an O(m^2) blocked QR of that
-banded-upper matrix. A solve holds one (m+1)^2 operator per term and,
-while a step runs, the Jacobian, which the QR factors in place. The
-step h is the only setting: Newton's are the constants below, so both
-methods run under one solver.
+fractional derivatives represented by the Toeplitz operators of the
+chosen method. The square nonlinear system is solved globally (all nodes
+at once) by damped Newton with a forward-difference Jacobian, each step
+an O(m^2) blocked QR of that banded-upper matrix. One pass over the
+terms gives the residual, the products the Jacobian reuses and the
+rounding floor. A solve holds O(m) per term, and the Jacobian while a
+step factors it in place. The step h is the only setting: Newton's are
+the constants below, so both methods run under one solver.
 """
 
 from __future__ import annotations
@@ -181,37 +181,25 @@ class _Workspace:
         return f, g, [_tree_eval(t.coeff, xc, uc, nic) for t in eq.terms]
 
     def residual_terms(self, u: np.ndarray):
-        """The residual of u and the products A_i @ u it was formed from."""
-        nic = self.n_ic
+        """The residual of u, the products A_i @ u it was formed from, and the
+        scale its sums cancel over: the same sums taken of absolute values."""
+        nic, au = self.n_ic, np.abs(u)
         r = np.empty(self.m + 1)
         r[:nic] = self.ic_rows @ u[:3] / self.ic_denom - self.ic_vals
+        ic_scale = np.abs(self.ic_rows) @ au[:3] / self.ic_denom + np.abs(self.ic_vals)
         f, g, Ks = self._parts(u[nic:])
-        products = [A @ u for A in self.ops]
         # overflow makes a non-finite residual, which the Newton loop rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            acc = f - g
-            for K, Au in zip(Ks, products):
+            products = [A @ u for A in self.ops]
+            acc, scale = f - g, np.abs(f) + np.abs(g)
+            for K, A, Au in zip(Ks, self.ops, products):
                 acc = acc + K * Au[nic:]
+                scale = scale + np.abs(K) * (abs(A) @ au)[nic:]
         r[nic:] = acc
-        return r, products
+        return r, products, max(float(np.max(scale)), float(np.max(ic_scale)))
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         return self.residual_terms(u)[0]
-
-    def residual_scale(self, u: np.ndarray) -> float:
-        """Absolute-value magnitude the residual sums cancel over.
-
-        |A| is formed per term here rather than kept for the solve: this
-        runs only when the tolerance test fails.
-        """
-        nic = self.n_ic
-        au = np.abs(u)
-        f, g, Ks = self._parts(u[nic:])
-        acc = np.abs(f) + np.abs(g)
-        for K, A in zip(Ks, self.ops):
-            acc = acc + np.abs(K) * (np.abs(A) @ au)[nic:]
-        ic = np.abs(self.ic_rows) @ au[:3] / self.ic_denom + np.abs(self.ic_vals)
-        return max(float(np.max(acc)), float(np.max(ic)))
 
     def jacobian(self, u: np.ndarray, products: list) -> np.ndarray:
         """Forward-difference Jacobian, column step 1e-7*(1+|u_j|).
@@ -229,14 +217,16 @@ class _Workspace:
         fp, gp, Kps = self._parts(uc + epsc)
         diag = np.zeros(m + 1 - nic)
         for K, Kp, A, Au in zip(Ks, Kps, self.ops, products):
-            diag += (Kp - K) / epsc * Au[nic:] + (Kp - K) * np.diag(A)[nic:]
+            diag += (Kp - K) / epsc * Au[nic:] + (Kp - K) * A.diagonal()[nic:]
         diag += (fp - f) / epsc - (gp - g) / epsc
         J = np.empty((m + 1, m + 1))
         J[:nic] = 0.0
         J[:nic, :3] = self.ic_rows / self.ic_denom[:, None]
         for k in range(0, m + 1 - nic, _BLOCK):  # no (m+1)^2 temporaries
-            rows = slice(nic + k, nic + k + _BLOCK)
-            J[rows] = sum(K[k : k + _BLOCK, None] * A[rows] for K, A in zip(Ks, self.ops))
+            blocks = [A.rows(nic + k, nic + k + _BLOCK) for A in self.ops]
+            for K, block in zip(Ks, blocks):
+                block *= K[k : k + _BLOCK, None]
+            J[nic + k : nic + k + _BLOCK] = sum(blocks)
         J[np.arange(nic, m + 1), np.arange(nic, m + 1)] += diag
         return J
 
@@ -278,23 +268,19 @@ def assemble_residual(
     return GridFunction(cfg.h, ws.residual(np.asarray(candidate.values, dtype=float)))
 
 
-def _converged(r: np.ndarray, u: np.ndarray, ws: _Workspace) -> bool:
-    rnorm = float(np.max(np.abs(r)))
+def _converged(r: np.ndarray, u: np.ndarray, scale: float) -> bool:
     limit = NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
-    if rnorm <= limit:
-        return True
-    floor = RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * ws.residual_scale(u)
-    return rnorm <= floor
+    return float(np.max(np.abs(r))) <= max(limit, RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * scale)
 
 
 def _newton(ws: _Workspace, u0: np.ndarray):
     u = u0.copy()
-    r, products = ws.residual_terms(u)  # ResidualDomainError propagates: bad starting point
+    r, products, scale = ws.residual_terms(u)  # ResidualDomainError propagates: bad starting point
     if not np.isfinite(r).all():
         raise ResidualDomainError("non-finite starting residual", int(np.flatnonzero(~np.isfinite(r))[0]))
     iters = 0
     for _ in range(NEWTON_MAX_ITER):
-        if _converged(r, u, ws):
+        if _converged(r, u, scale):
             return u, r, iters, True
         try:
             delta = _solve_upper_banded(ws.jacobian(u, products), -r)
@@ -307,13 +293,13 @@ def _newton(ws: _Workspace, u0: np.ndarray):
         while lam >= DAMPING_MIN:
             trial = u + lam * delta
             try:
-                r_try, p_try = ws.residual_terms(trial)
+                terms = ws.residual_terms(trial)
             except ResidualDomainError:
                 lam *= 0.5
                 continue
             domain_blocked = False
-            if np.isfinite(r_try).all() and float(np.max(np.abs(r_try))) < rnorm:
-                accepted = (trial, r_try, p_try)
+            if np.isfinite(terms[0]).all() and float(np.max(np.abs(terms[0]))) < rnorm:
+                accepted = (trial, *terms)
                 break
             lam *= 0.5
         if accepted is None:
@@ -322,9 +308,9 @@ def _newton(ws: _Workspace, u0: np.ndarray):
                     "expression domain error at every damping level; solver cannot proceed"
                 )
             return u, r, iters, False  # stalled: non-convergence is data
-        u, r, products = accepted
+        u, r, products, scale = accepted
         iters += 1
-    return u, r, iters, _converged(r, u, ws)
+    return u, r, iters, _converged(r, u, scale)
 
 
 def solve(eq: EquationSpec, cfg: SolverConfig, method: MethodKind) -> Solution:

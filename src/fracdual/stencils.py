@@ -2,10 +2,9 @@
 
 Coefficient rows for the first three derivatives with forward, central,
 and backward placement, window application helpers, and the full-grid
-layout both as rows applied without a matrix (``apply_rows``) and as
-dense differentiation matrices, which the tests use as references. Central windows are used wherever they
-fit; the nodes at each end fall back to the same-order one-sided stencil
-on the available side.
+layout as rows applied without a matrix (``apply_rows``). Central
+windows are used wherever they fit; the nodes at each end fall back to
+the same-order one-sided stencil on the available side.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ __all__ = [
     "differentiation_rows",
     "difference_rows_3pt",
     "apply_rows",
-    "differentiation_matrix",
-    "difference_matrix_3pt",
 ]
 
 
@@ -89,12 +86,17 @@ def apply_stencil(order: int, placement: str, values, h: float) -> float:
 
 
 def differentiation_rows(order: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(forward, central, backward) coefficient rows of ``differentiation_matrix``."""
+    """(forward, central, backward) rows of the order-``order`` derivative layout."""
     return tuple(_scaled_coefficients(order, p, h) for p in ("forward", "central", "backward"))
 
 
 def difference_rows_3pt(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(forward, central, backward) coefficient rows of ``difference_matrix_3pt``."""
+    """(forward, central, backward) rows of the three-point first differences.
+
+    Central (g[j+1]-g[j-1])/(2h) at interior nodes, three-point one-sided
+    rows at the two ends: the differencing whose trapezoid sum is the
+    summation-by-parts dual of the substitution quadrature.
+    """
     fwd, _, bwd = differentiation_rows(1, h)
     return fwd, np.array([-1.0, 0.0, 1.0]) / (2.0 * h), bwd
 
@@ -102,9 +104,9 @@ def difference_rows_3pt(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def apply_rows(rows, values: np.ndarray) -> np.ndarray:
     """Banded matrix of stencil ``rows`` applied to ``values`` (along axis 0).
 
-    Same layout as the matrices below: with a central row of width w, the
-    first w//2 nodes take the forward row, the last w//2 the backward row.
-    Costs O(w) per entry of ``values``; no matrix is formed.
+    With a central row of width w, the first w//2 nodes take the forward
+    row, the last w//2 the backward row. Costs O(w) per entry of
+    ``values``; no matrix is formed.
     """
     fwd, cen, bwd = rows
     n, half = len(values), len(cen) // 2
@@ -116,44 +118,3 @@ def apply_rows(rows, values: np.ndarray) -> np.ndarray:
         out[n - 1 - k] = bwd @ values[n - k - len(bwd) : n - k]
     return out
 
-
-def differentiation_matrix(m: int, h: float, order: int) -> np.ndarray:
-    """(m+1)x(m+1) matrix taking grid samples to derivative samples.
-
-    Placement per node: forward at the first two nodes, central where the
-    window fits, backward at the last two nodes. Requires m >= 8 so the
-    windows never collide.
-    """
-    if m < 8:
-        raise ValueError(f"grid too small for stencil layout (m={m}, need m >= 8)")
-    S = np.zeros((m + 1, m + 1))
-    fwd, cen, bwd = differentiation_rows(order, h)
-    wf, wc, wb = len(fwd), len(cen), len(bwd)
-    for k in (0, 1):
-        S[k, k : k + wf] = fwd
-    half = wc // 2
-    for k in range(2, m - 1):
-        S[k, k - half : k - half + wc] = cen
-    for k in (m - 1, m):
-        S[k, k - wb + 1 : k + 1] = bwd
-    S.setflags(write=False)
-    return S
-
-
-def difference_matrix_3pt(m: int, h: float) -> np.ndarray:
-    """Classic three-point first-difference matrix.
-
-    Central (g[j+1]-g[j-1])/(2h) at interior nodes, three-point one-sided
-    rows at the two ends. This is the differencing whose trapezoid sum is
-    the summation-by-parts dual of the substitution quadrature; the
-    by-parts operator uses it to turn n-th derivative samples into
-    (n+1)-th ones.
-    """
-    D = np.zeros((m + 1, m + 1))
-    D[0, 0:3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
-    rows = np.arange(1, m)
-    D[rows, rows - 1] = -1.0 / (2.0 * h)
-    D[rows, rows + 1] = 1.0 / (2.0 * h)
-    D[m, m - 2 : m + 1] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
-    D.setflags(write=False)
-    return D

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from fracdual.cli import main
+from fracdual.cli import _parse_points, main
 
 TINY_PROBLEM = """
 term.0.coeff = "1"
@@ -206,20 +206,45 @@ def test_bad_threshold_exits_2(tmp_path, capsys, value):
 
 
 def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
-    # f - g is inf - inf at the overflowing nodes: a MethodFailed verdict,
-    # and nothing from numpy on stderr
-    text = resources.files("fracdual.fixtures").joinpath("linear_x12.prob").read_text("utf-8")
-    for key in ("forcing", "rhs"):
-        text = re.sub(rf"^{key} = .*$", f'{key} = "exp(1000*x)"', text, flags=re.MULTILINE)
-    path = tmp_path / "overflow.prob"
-    path.write_text(text, encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["dual", "--problem", str(path)])
-    out, err = capsys.readouterr()
-    assert code == 0
-    assert out.strip().split("\n")[-1].startswith("verdict=MethodFailed(substitution,byparts) deviation=nan ")
-    assert err == ""
+    # f - g is inf - inf at the overflowing nodes, and x*1e300*1e300
+    # overflows inside the expression: a MethodFailed verdict, and nothing
+    # from numpy on stderr
+    fixture = resources.files("fracdual.fixtures").joinpath("linear_x12.prob").read_text("utf-8")
+    for sides in ({"forcing": "exp(1000*x)", "rhs": "exp(1000*x)"}, {"forcing": "x*1e300*1e300"}):
+        text = fixture
+        for key, value in sides.items():
+            text = re.sub(rf"^{key} = .*$", f'{key} = "{value}"', text, flags=re.MULTILINE)
+        path = tmp_path / "overflow.prob"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dual", "--problem", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert out.strip().split("\n")[-1].startswith("verdict=MethodFailed(substitution,byparts) deviation=nan ")
+        assert err == ""
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ("derivative --f tan --alpha 0.4 --h 0 --points 0.1", "step must be positive and finite, got 0.0"),
+        ("derivative --f tan --alpha 0.4 --h 0.01 --points 0.1,inf", "point must be finite, got inf"),
+        ("convergence --f tan --alpha 0.4 --x 0.1 --h-list 0,0,0", "step must be positive and finite, got 0.0"),
+    ],
+    ids=["zero_step", "infinite_point", "zero_steps"],
+)
+def test_bad_numeric_input_exits_2(tmp_path, capsys, args, message):
+    code = main(args.split() + ["--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_point_range_stops_at_stop():
+    assert _parse_points("0.1:1:0.35") == pytest.approx([0.1, 0.45, 0.8])
+    assert _parse_points("0.1:0.6:0.1") == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    assert _parse_points("0.5:0.5:0.1") == [0.5]
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

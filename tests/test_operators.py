@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from dense_stencils import difference_matrix_3pt, differentiation_matrix
 
 from fracdual.bench import FIXTURES, load_fixture
 from fracdual.caputo import (
@@ -16,7 +17,6 @@ from fracdual.caputo import (
 from fracdual.operators import fractional_operator, operator_for
 from fracdual.solver import grid_size
 from fracdual.special_functions import gamma
-from fracdual.stencils import difference_matrix_3pt, differentiation_matrix
 
 
 def dense_operator(method, order, h, m):
@@ -61,9 +61,17 @@ def _oracle_cases():
 def test_matches_dense_product(method, alpha, h, m):
     o = FractionalOrder(alpha)
     want = dense_operator(method, o, h, m)
-    got = operator_for(method, o, h, m)
+    op = operator_for(method, o, h, m)
+    got = op.rows(0, m + 1)
     assert got.shape == (m + 1, m + 1)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the products the solver takes, on a signed vector: entries are summed
+    # in another order, so compare against the absolute-value sums
+    u = np.random.default_rng(m).normal(size=m + 1)
+    scale = np.max(np.abs(want) @ np.abs(u))
+    assert np.max(np.abs(op @ u - want @ u)) <= 1e-12 * scale
+    assert np.max(np.abs(abs(op) @ np.abs(u) - np.abs(want) @ np.abs(u))) <= 1e-12 * scale
+    assert np.max(np.abs(op.diagonal() - np.diag(want))) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_rejects_grids_below_stencil_layout():
@@ -113,7 +121,8 @@ def test_annihilates_constants(method, alpha):
 def test_operator_is_read_only_and_dies_with_its_caller():
     # nothing outside the caller keeps a dense operator alive
     a = fractional_operator(MethodKind.SUBSTITUTION, 0.5, 1, 0.01, 20)
-    assert not a.flags.writeable
+    assert not a.rev.flags.writeable
+    assert not a.edge.flags.writeable
     ref = weakref.ref(a)
     del a
     gc.collect()
@@ -128,8 +137,8 @@ def test_byparts_tracks_substitution_on_smooth_data():
     h, m = 1e-3, 1000
     x = np.arange(m + 1) * h
     u = -0.28 * x**2 + 0.05 * x**3
-    S = operator_for(MethodKind.SUBSTITUTION, o, h, m)
-    B = operator_for(MethodKind.BYPARTS, o, h, m)
+    S = operator_for(MethodKind.SUBSTITUTION, o, h, m).rows(0, m + 1)
+    B = operator_for(MethodKind.BYPARTS, o, h, m).rows(0, m + 1)
     ds = np.max(np.abs((B - S) @ u))
     magnitude = np.max(np.abs(S @ u))
     assert ds <= 1e-5 * max(1.0, magnitude)

@@ -6,10 +6,12 @@ values the benchmarks publish.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fracdual.bench import load_fixture
 from fracdual.caputo import FractionalOrder, GridFunction, MethodKind
 from fracdual.expr import evaluate, parse_expression
 from fracdual.operators import operator_for
@@ -249,7 +251,7 @@ class TestResidual:
         xc, uc = x[nic:], u[nic:]
         acc = np.abs(evaluate(eq.forcing, xc, uc)) + np.abs(evaluate(eq.rhs, xc, uc))
         for t in eq.terms:
-            A = operator_for(method, t.order, h, m)
+            A = operator_for(method, t.order, h, m).rows(0, m + 1)
             acc = acc + np.abs(evaluate(t.coeff, xc, uc)) * (np.abs(A) @ np.abs(u))[nic:]
         expected = max(float(np.max(acc)), abs(u[0]) + abs(eq.ic_u0))
         if nic == 2:
@@ -257,7 +259,7 @@ class TestResidual:
             du0 = np.abs(fwd.coefficients) @ np.abs(u[:3]) / (fwd.denominator * h)
             expected = max(expected, float(du0) + abs(eq.ic_du0))
         assert (expected == float(np.max(acc))) == (scale == "1")
-        got = _Workspace(eq, SolverConfig(h=h), method).residual_scale(u)
+        got = _Workspace(eq, SolverConfig(h=h), method).residual_terms(u)[2]
         assert abs(got - expected) <= 1e-14 * expected
 
     def test_domain_error_reports_node(self):
@@ -376,6 +378,21 @@ class TestSolve:
         with pytest.raises(ValueError, match="MethodKind"):
             assemble_residual(simple_eq(), SolverConfig(h=0.1), None, GridFunction(0.1, np.zeros(11)))
 
+    @pytest.mark.parametrize("method", list(MethodKind))
+    @pytest.mark.parametrize("name", ["quasilinear_tan", "twoterm_sine"])
+    def test_jacobian_is_the_only_dense_array(self, name, method):
+        # each operator holds O(m) numbers, so a solve peaks near one
+        # (m+1)^2 array, not one per term plus the Jacobian
+        eq, cfg = load_fixture(name).equation, SolverConfig(h=1e-3)
+        m = grid_size(eq.interval_end, cfg.h)
+        tracemalloc.start()
+        try:
+            assert solve(eq, cfg, method).converged
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (m + 1) ** 2 * 8
+
 
 def _upper_banded(n, p, seed):
     # J[i, j] = 0 for j > i + p, diagonally dominant so well-conditioned
@@ -421,7 +438,7 @@ class TestBandedStep:
         # every operator and Jacobian row stops _BANDWIDTH columns right of
         # the diagonal; by-parts row 1 reaches exactly that far
         order = FractionalOrder(alpha)
-        A = operator_for(method, order, 1.0 / m, m)
+        A = operator_for(method, order, 1.0 / m, m).rows(0, m + 1)
         assert not np.triu(A, _BANDWIDTH + 1).any()
         if method is MethodKind.BYPARTS:
             assert A[1, 1 + _BANDWIDTH] != 0.0

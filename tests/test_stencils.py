@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from dense_stencils import difference_matrix_3pt, differentiation_matrix
 from fracdual.stencils import (
     STENCILS,
     apply_rows,
     apply_stencil,
-    difference_matrix_3pt,
     difference_rows_3pt,
-    differentiation_matrix,
     differentiation_rows,
 )
 

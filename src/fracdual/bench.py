@@ -47,6 +47,10 @@ TABLE1 = (
 )
 TABLE1_ALPHA = 0.4
 TABLE1_H = 1e-4
+# Most samples m = x/h a derivative row takes. Each profile derivative
+# and weight array holds m + 1 floats, so this caps each at 80 MB, far
+# above the 6*10^5 of the h = 1e-6 rows and the 6*10^3 of TABLE1_H.
+MAX_DERIVATIVE_SAMPLES = 10**7
 
 # x, by-parts solution, substitution solution (quasilinear_tan, h = 1e-3)
 TABLE2 = (
@@ -134,8 +138,14 @@ def derivative_table(profile_name: str, alpha: float, h: float, points):
     for x in points:
         if not math.isfinite(x):
             raise ValueError(f"point must be finite, got {x}")
+        if not x / h <= MAX_DERIVATIVE_SAMPLES:
+            raise ValueError(
+                f"point {x} at step {h} needs m = x/h = {x / h:.6g} samples, over {MAX_DERIVATIVE_SAMPLES}"
+            )
         m = int(round(x / h))
-        if m < 1 or abs(m * h - x) > 1e-8 * max(1.0, m):
+        if m < 1:
+            raise ValueError(f"point {x} is below the step {h}: the rules need x >= h")
+        if abs(m * h - x) > 1e-8 * max(1.0, m):
             raise ValueError(f"point {x} is not on the step-{h} grid")
         xs = np.arange(m + 1) * h
         gn = np.asarray(profile.derivative(order.n, xs), dtype=float)

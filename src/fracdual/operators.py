@@ -18,9 +18,9 @@ convolved with B's central row. That holds outside the ``_EDGE`` columns
 at each end, which assembly computes exactly as sums of shifted columns
 of L (both ends together, so small grids where the ends overlap come out
 whole). A ``ToeplitzOperator`` keeps just these O(m) numbers: it
-multiplies by correlation, and writes dense rows only for the Jacobian
-block being filled. Nothing is cached: each solve builds its operators
-once and keeps them for its Newton iterations only.
+multiplies by correlation, and writes dense columns only for the
+Jacobian strip a Newton step is factoring. Nothing is cached: each solve
+builds its operators once and keeps them for its Newton iterations only.
 """
 
 from __future__ import annotations
@@ -67,10 +67,11 @@ class ToeplitzOperator:
         d[self.cols] = self.edge[self.cols, np.arange(self.cols.size)]
         return d
 
-    def rows(self, k0: int, k1: int) -> np.ndarray:
-        """Dense rows k0 .. k1-1, cut at the last row."""
-        block = np.lib.stride_tricks.sliding_window_view(self.rev, self.edge.shape[0])[::-1][k0:k1].copy()
-        block[:, self.cols] = self.edge[k0:k1]
+    def columns(self, k0: int, l0: int, l1: int) -> np.ndarray:
+        """Dense A[k0:, l0:l1], a new array in column-major order."""
+        block = np.lib.stride_tricks.sliding_window_view(self.rev, self.edge.shape[0])[::-1][k0:, l0:l1].copy("F")
+        inside = (self.cols >= l0) & (self.cols < l1)
+        block[:, self.cols[inside] - l0] = self.edge[k0:, inside]
         return block
 
 

@@ -5,12 +5,12 @@ is discretized on the uniform grid x_k = k*h: one row per initial
 condition, then one collocation row per remaining node, with the
 fractional derivatives represented by the Toeplitz operators of the
 chosen method. The square nonlinear system is solved globally (all nodes
-at once) by damped Newton with a forward-difference Jacobian, each step
-an O(m^2) blocked QR of that banded-upper matrix. One pass over the
-terms gives the residual, the products the Jacobian reuses and the
-rounding floor. A solve holds O(m) per term, and the Jacobian while a
-step factors it in place. The step h is the only setting: Newton's are
-the constants below, so both methods run under one solver.
+at once) by damped Newton with a forward-difference Jacobian J, each step
+an O(m^2) blocked QR of banded J^T, forward in x from column strips of J.
+One pass over the terms gives the residual, the products the Jacobian
+reuses and the rounding floor. A solve holds O(m) per term and O(m *
+_BLOCK) for the step. The step h is the only setting: Newton's are the
+constants below, so both methods run under one solver.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ DAMPING_MIN = 1.0 / 64.0
 # J[i, j] = 0 for j > i + _BANDWIDTH: central rows reach i + 2, and the
 # one-sided row 1 reaches A[1, 4] (by-parts, and substitution at n = 2).
 _BANDWIDTH = 3
-_BLOCK = 32  # columns per QR panel of the Newton step, rows per Jacobian block
+_BLOCK = 32  # rows of J per QR panel of the Newton step
 
 class SolverDomainError(RuntimeError):
     """Expression domain errors blocked every damping level; cannot proceed."""
@@ -201,8 +201,10 @@ class _Workspace:
     def residual(self, u: np.ndarray) -> np.ndarray:
         return self.residual_terms(u)[0]
 
-    def jacobian(self, u: np.ndarray, products: list) -> np.ndarray:
-        """Forward-difference Jacobian, column step 1e-7*(1+|u_j|).
+    def jacobian(self, u: np.ndarray, products: list):
+        """Forward-difference Jacobian J, column step 1e-7*(1+|u_j|), as the
+        accessor columns(k, l0, l1) = J[k:, l0:l1]: a new array per call, in
+        column-major order so that the step reads J^T by rows.
 
         Expression trees act pointwise, so the finite-difference column j
         differs from the linear part only in its diagonal entry; the
@@ -215,40 +217,60 @@ class _Workspace:
         uc, epsc = u[nic:], eps[nic:]
         f, g, Ks = self._parts(uc)
         fp, gp, Kps = self._parts(uc + epsc)
-        diag = np.zeros(m + 1 - nic)
+        diag = np.zeros(m + 1)
         for K, Kp, A, Au in zip(Ks, Kps, self.ops, products):
-            diag += (Kp - K) / epsc * Au[nic:] + (Kp - K) * A.diagonal()[nic:]
-        diag += (fp - f) / epsc - (gp - g) / epsc
-        J = np.empty((m + 1, m + 1))
-        J[:nic] = 0.0
-        J[:nic, :3] = self.ic_rows / self.ic_denom[:, None]
-        for k in range(0, m + 1 - nic, _BLOCK):  # no (m+1)^2 temporaries
-            blocks = [A.rows(nic + k, nic + k + _BLOCK) for A in self.ops]
+            diag[nic:] += (Kp - K) / epsc * Au[nic:] + (Kp - K) * A.diagonal()[nic:]
+        diag[nic:] += (fp - f) / epsc - (gp - g) / epsc
+        Ks = [np.r_[np.zeros(nic), K] for K in Ks]  # the condition rows are written over
+        ic = np.zeros((nic, m + 1))
+        ic[:, :3] = self.ic_rows / self.ic_denom[:, None]
+
+        def columns(k: int, l0: int, l1: int) -> np.ndarray:
+            blocks = [A.columns(k, l0, l1) for A in self.ops]
             for K, block in zip(Ks, blocks):
-                block *= K[k : k + _BLOCK, None]
-            J[nic + k : nic + k + _BLOCK] = sum(blocks)
-        J[np.arange(nic, m + 1), np.arange(nic, m + 1)] += diag
-        return J
+                block *= K[k:, None]
+            strip = blocks[0]
+            for block in blocks[1:]:
+                strip += block
+            i = np.arange(max(k, l0), min(l1, m + 1))
+            strip[i - k, i - l0] += diag[i]
+            strip[: max(nic - k, 0)] = ic[k:, l0:l1]
+            return strip
+
+        return columns
 
 
-def _solve_upper_banded(J: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """x with J x = r, for J[i, j] = 0 when j > i + _BANDWIDTH; destroys J.
+def _solve_upper_banded(columns, r: np.ndarray) -> np.ndarray:
+    """x with J x = r, for J[i, j] = 0 when j > i + _BANDWIDTH, given
+    columns(k, l0, l1) = J[k:, l0:l1] as an array the step may write over.
 
-    Reversed, J has lower bandwidth _BANDWIDTH: the Householder QR of a
-    panel of _BLOCK columns spans _BANDWIDTH more rows, and one product
-    applies its Q to the rest of them. Then block back substitution; a
-    singular J leaves a zero on R's diagonal and raises LinAlgError.
+    J^T has lower bandwidth _BANDWIDTH, so the Householder QR of a panel
+    of its _BLOCK columns spans _BANDWIDTH more rows. In J's terms, panel
+    k's Q turns the strip J[k:, k:e + _BANDWIDTH] into columns k..e-1 of
+    the lower triangular L = J Q, plus _BANDWIDTH columns carried to the
+    next panel. The forward substitution L z = r runs alongside and uses
+    each column of L once, so only the Qs are kept, and x = Q z applies
+    them in reverse. A zero row of J leaves a zero on L's diagonal and
+    raises LinAlgError.
     """
-    R, y = J[::-1, ::-1], r[::-1].copy()
-    for k in range(0, y.size, _BLOCK):
-        e, p = k + _BLOCK, slice(k, k + _BLOCK + _BANDWIDTH)
-        Q, R[p, k:e] = np.linalg.qr(R[p, k:e], mode="complete")
-        R[p, e:] = Q.T @ R[p, e:]
-        y[p] = Q.T @ y[p]
-    for k in reversed(range(0, y.size, _BLOCK)):
-        e = k + _BLOCK
-        y[k:e] = np.linalg.solve(R[k:e, k:e], y[k:e] - R[k:e, e:] @ y[e:])
-    return y[::-1]
+    n = r.size
+    z, acc, Qs = np.empty(n), np.zeros(n), []  # acc[k:] = L[k:, :k] @ z[:k]
+    carried = np.empty((0, n))  # L[k:, k:k + _BANDWIDTH]^T
+    for k in range(0, n, _BLOCK):
+        e = min(k + _BLOCK, n)
+        T = columns(k, k, min(e + _BANDWIDTH, n)).T
+        T[: len(carried)] = carried
+        Q, R = np.linalg.qr(T[:, : e - k], mode="complete")
+        # L[k:e, k:e] = R^T, solved reversed: upper triangular, so a zero
+        # on its diagonal stays an exact zero pivot
+        z[k:e] = np.linalg.solve(R[: e - k].T[::-1, ::-1], (r[k:e] - acc[k:e])[::-1])[::-1]
+        LT = Q.T @ T[:, e - k :]
+        acc[e:] += z[k:e] @ LT[: e - k]
+        carried = LT[e - k :]
+        Qs.append(Q)
+    for k, Q in zip(reversed(range(0, n, _BLOCK)), reversed(Qs)):
+        z[k : k + len(Q)] = Q @ z[k : k + len(Q)]
+    return z
 
 
 def assemble_residual(

@@ -46,6 +46,9 @@ _LANCZOS_C = (
     3.6899182659531622704e-6,
 )
 _SQRT_2PI = 2.5066282746310002
+# Gamma(x) exceeds the largest double above this; past it the Lanczos
+# form would give inf * 0 = nan.
+_GAMMA_OVERFLOW = 171.6243769563027
 _LOG_SQRT_2PI = 0.91893853320467274178
 
 
@@ -83,10 +86,15 @@ def gamma(x):
             raise SpecialFunctionDomainError("gamma: NaN argument")
         if _is_nonpositive_integer(xf):
             raise GammaPoleError(f"gamma: pole at {xf}")
-        if xf >= 0.5:
-            return float(_gamma_positive(xf))
-        # reflection: gamma(x) = pi / (sin(pi x) * gamma(1 - x)), 1-x >= 0.5
-        return float(math.pi / (math.sin(math.pi * xf) * _gamma_positive(1.0 - xf)))
+        try:
+            if xf >= 0.5:
+                return float(_gamma_positive(xf))
+            # reflection: gamma(x) = pi / (sin(pi x) * gamma(1 - x)), 1-x >= 0.5
+            return float(math.pi / (math.sin(math.pi * xf) * _gamma_positive(1.0 - xf)))
+        except OverflowError:
+            # the Lanczos power overflows from |x| ~ 142.5: give what the
+            # array path gives, inf, or 0 through the reflection
+            return math.inf if xf > 0.0 else 0.0
 
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any():
@@ -96,7 +104,7 @@ def gamma(x):
         raise GammaPoleError(f"gamma: pole at {arr[pole].flat[0]}")
     safe = np.where(arr >= 0.5, arr, 1.0 - arr)
     with np.errstate(all="ignore"):
-        direct = _gamma_positive(safe)
+        direct = np.where(safe > _GAMMA_OVERFLOW, np.inf, _gamma_positive(safe))
         out = np.where(arr >= 0.5, direct, np.pi / (np.sin(np.pi * arr) * direct))
     return out
 

@@ -231,8 +231,18 @@ def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
         ("derivative --f tan --alpha 0.4 --h 0 --points 0.1", "step must be positive and finite, got 0.0"),
         ("derivative --f tan --alpha 0.4 --h 0.01 --points 0.1,inf", "point must be finite, got inf"),
         ("convergence --f tan --alpha 0.4 --x 0.1 --h-list 0,0,0", "step must be positive and finite, got 0.0"),
+        # rejected before any sample is allocated
+        (
+            "convergence --f tan --alpha 0.4 --x 0.1 --h-list 1e-300,5e-301,2.5e-301",
+            "point 0.1 at step 1e-300 needs m = x/h = 1e+299 samples, over 10000000",
+        ),
+        (
+            "derivative --f tan --alpha 0.4 --h 1e-320 --points 1",
+            "point 1.0 at step 1e-320 needs m = x/h = inf samples, over 10000000",
+        ),
+        ("derivative --f tan --alpha 0.4 --h 0.01 --points 0", "point 0.0 is below the step 0.01: the rules need x >= h"),
     ],
-    ids=["zero_step", "infinite_point", "zero_steps"],
+    ids=["zero_step", "infinite_point", "zero_steps", "tiny_steps", "subnormal_step", "point_zero"],
 )
 def test_bad_numeric_input_exits_2(tmp_path, capsys, args, message):
     code = main(args.split() + ["--out", str(tmp_path / "o.csv")])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracdual.expr import (
@@ -178,3 +178,62 @@ def test_evaluation_never_silently_nan(tree, x, u):
     except EvalDomainError:
         return
     assert not math.isnan(float(np.asarray(result)))
+
+
+# --- random token strings -------------------------------------------------------
+
+_FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "gamma")
+_OPERANDS = ("x", "u", "pi", "e", "0", "1", "2.5", "1e300", "1e-300", ".5")
+_TOKENS = (
+    *_FUNCTION_NAMES,
+    *_OPERANDS,
+    *("+", "-", "*", "/", "^", "(", ")"),
+    *("foo", ",", "1..2", "e5", "$", "sinx", "2x"),  # stray tokens
+)
+
+
+def _grammar_tokens():
+    return st.recursive(
+        st.sampled_from(_OPERANDS).map(lambda a: [a]),
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from(_FUNCTION_NAMES), inner).map(lambda t: [t[0], "(", *t[1], ")"]),
+            st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda t: [*t[0], t[1], *t[2]]),
+            inner.map(lambda t: ["-", *t]),
+        ),
+        max_leaves=8,
+    )
+
+
+def _spliced(tokens_and_edits):
+    tokens, edits = tokens_and_edits
+    tokens = list(tokens)
+    for where, tok in edits:
+        tokens.insert(where % (len(tokens) + 1), tok)
+    return tokens
+
+
+@given(
+    # uniform strings mostly fail to parse; grammar strings with up to two
+    # tokens spliced in mostly parse, and reach evaluation
+    tokens=st.one_of(
+        st.lists(st.sampled_from(_TOKENS), max_size=16),
+        st.tuples(
+            _grammar_tokens(), st.lists(st.tuples(st.integers(0, 63), st.sampled_from(_TOKENS)), max_size=2)
+        ).map(_spliced),
+    ),
+    sep=st.sampled_from(["", " "]),
+    x=st.sampled_from([0.0, -1.0, 0.5, 1e300, -1e-300, np.array([-2.0, 0.0, 0.3, 1e200])]),
+    u=st.sampled_from([0.0, -3.0, 0.7, -1e300, np.array([1e-300, -0.5, 2.0, -1e200])]),
+)
+@example(tokens=["gamma", "(", "-", "u", ")"], sep="", x=0.0, u=-1e300)
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_random_token_strings_raise_only_expression_errors(tokens, sep, x, u):
+    # any other exception escaping parse or evaluate is a bug
+    try:
+        tree = parse_expression(sep.join(tokens))
+    except ParseError:
+        return
+    try:
+        evaluate(tree, x, u)
+    except EvalDomainError:
+        pass

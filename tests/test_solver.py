@@ -145,7 +145,7 @@ class TestGridAndLayout:
                 r = assemble_residual(eq, SolverConfig(h=h), method, GridFunction(h, u))
                 assert r.values.shape == (m + 1,)
                 ws = _Workspace(eq, SolverConfig(h=h), method)
-                J = ws.jacobian(u, ws.residual_terms(u)[1])
+                J = ws.jacobian(u, ws.residual_terms(u)[1])(0, 0, m + 1)
                 assert J.shape == (m + 1, m + 1)
 
 
@@ -210,7 +210,7 @@ class TestResidual:
         )
         ws = _Workspace(eq, SolverConfig(h=0.1), method)
         u = 0.2 + 0.5 * ws.x - 0.3 * ws.x**2
-        J = ws.jacobian(u, ws.residual_terms(u)[1])
+        J = ws.jacobian(u, ws.residual_terms(u)[1])(0, 0, ws.m + 1)
         r = ws.residual(u)
         fd = np.empty_like(J)
         for j in range(u.size):
@@ -251,7 +251,7 @@ class TestResidual:
         xc, uc = x[nic:], u[nic:]
         acc = np.abs(evaluate(eq.forcing, xc, uc)) + np.abs(evaluate(eq.rhs, xc, uc))
         for t in eq.terms:
-            A = operator_for(method, t.order, h, m).rows(0, m + 1)
+            A = operator_for(method, t.order, h, m).columns(0, 0, m + 1)
             acc = acc + np.abs(evaluate(t.coeff, xc, uc)) * (np.abs(A) @ np.abs(u))[nic:]
         expected = max(float(np.max(acc)), abs(u[0]) + abs(eq.ic_u0))
         if nic == 2:
@@ -378,12 +378,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="MethodKind"):
             assemble_residual(simple_eq(), SolverConfig(h=0.1), None, GridFunction(0.1, np.zeros(11)))
 
+    @pytest.mark.parametrize("h", [1e-3, 5e-4])
     @pytest.mark.parametrize("method", list(MethodKind))
     @pytest.mark.parametrize("name", ["quasilinear_tan", "twoterm_sine"])
-    def test_jacobian_is_the_only_dense_array(self, name, method):
-        # each operator holds O(m) numbers, so a solve peaks near one
-        # (m+1)^2 array, not one per term plus the Jacobian
-        eq, cfg = load_fixture(name).equation, SolverConfig(h=1e-3)
+    def test_solve_memory_is_linear_in_m(self, name, method, h):
+        # each operator holds O(m) numbers and the Newton step O(m) per
+        # column of its panels, so a solve peaks at a few hundred
+        # (m+1)-vectors, not at an (m+1)^2 Jacobian
+        eq, cfg = load_fixture(name).equation, SolverConfig(h=h)
         m = grid_size(eq.interval_end, cfg.h)
         tracemalloc.start()
         try:
@@ -391,7 +393,7 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * (m + 1) ** 2 * 8
+        assert peak < 512 * (m + 1) * 8
 
 
 def _upper_banded(n, p, seed):
@@ -405,7 +407,7 @@ class TestBandedStep:
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_matches_dense_solve(self, n, p):
         J, r = _upper_banded(n, p, seed=1000 * n + p)
-        x = _solve_upper_banded(J.copy(), r)
+        x = _solve_upper_banded(lambda k, l0, l1: J[k:, l0:l1].copy(), r)
         backward = np.max(np.abs(J @ x - r)) / (np.max(np.abs(J)) * np.max(np.abs(x)) + np.max(np.abs(r)))
         assert backward <= 1e-14
         assert np.max(np.abs(x - np.linalg.solve(J, r))) <= 1e-12 * np.max(np.abs(x))
@@ -413,22 +415,41 @@ class TestBandedStep:
     @pytest.mark.parametrize("n", [9, 33, 65])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_singular_jacobian_raises(self, n, where):
+        # a zero row of J is a zero column of the factored J^T
         J, r = _upper_banded(n, _BANDWIDTH, seed=n)
-        J[:, {"first": 0, "middle": n // 2, "last": n - 1}[where]] = 0.0
+        J[{"first": 0, "middle": n // 2, "last": n - 1}[where]] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
-            _solve_upper_banded(J, r)
+            _solve_upper_banded(lambda k, l0, l1: J[k:, l0:l1].copy(), r)
 
     def test_singular_jacobian_is_non_convergence(self, monkeypatch):
         ws = _Workspace(simple_eq(forcing="sin(x)"), SolverConfig(h=0.1), MethodKind.BYPARTS)
         jacobian = ws.jacobian
 
         def singular(u, products):
-            J = jacobian(u, products)
-            J[:, 5] = 0.0
-            return J
+            columns = jacobian(u, products)
+
+            def zeroed(k, l0, l1):
+                strip = columns(k, l0, l1)
+                strip[:, np.arange(l0, l1) == 5] = 0.0
+                return strip
+
+            return zeroed
 
         monkeypatch.setattr(ws, "jacobian", singular)
         _u, _r, iters, ok = _newton(ws, np.zeros(ws.m + 1))
+        assert (iters, ok) == (0, False)
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_vanishing_coefficient_is_a_singular_step(self, method):
+        # K = x - 0.5 vanishes at node 5 and nothing else in row 5 depends
+        # on u, so that row of J is exactly zero
+        ws = _Workspace(simple_eq(coeff="x - 0.5", forcing="sin(x)"), SolverConfig(h=0.1), method)
+        u = np.zeros(ws.m + 1)
+        r, products, _scale = ws.residual_terms(u)
+        assert not ws.jacobian(u, products)(5, 0, ws.m + 1)[0].any()
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_upper_banded(ws.jacobian(u, products), -r)
+        _u, _r, iters, ok = _newton(ws, u)
         assert (iters, ok) == (0, False)
 
     @pytest.mark.parametrize("method", list(MethodKind))
@@ -438,7 +459,7 @@ class TestBandedStep:
         # every operator and Jacobian row stops _BANDWIDTH columns right of
         # the diagonal; by-parts row 1 reaches exactly that far
         order = FractionalOrder(alpha)
-        A = operator_for(method, order, 1.0 / m, m).rows(0, m + 1)
+        A = operator_for(method, order, 1.0 / m, m).columns(0, 0, m + 1)
         assert not np.triu(A, _BANDWIDTH + 1).any()
         if method is MethodKind.BYPARTS:
             assert A[1, 1 + _BANDWIDTH] != 0.0
@@ -446,5 +467,5 @@ class TestBandedStep:
         ws = _Workspace(eq, SolverConfig(h=1.0 / m), method)
         assert ws.n_ic == (2 if alpha > 1.0 else 1)
         u = 0.3 + 0.5 * ws.x
-        J = ws.jacobian(u, ws.residual_terms(u)[1])
+        J = ws.jacobian(u, ws.residual_terms(u)[1])(0, 0, m + 1)
         assert not np.triu(J, _BANDWIDTH + 1).any()

@@ -81,6 +81,14 @@ def test_gamma_array_matches_scalar():
         assert v == pytest.approx(gamma(float(x)), rel=1e-15)
 
 
+@pytest.mark.parametrize("x,expected", [(150.0, math.inf), (171.0, math.inf), (1e300, math.inf), (-150.5, 0.0)])
+def test_gamma_overflow_is_a_value(x, expected):
+    # the Lanczos power overflows from |x| ~ 142.5; a scalar then gives
+    # what the array path gives, not an OverflowError
+    assert gamma(x) == expected
+    assert abs(gamma(np.array([x]))[0]) == expected
+
+
 def test_beta_identities():
     assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
     assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)

@@ -8,6 +8,9 @@ integrand (t-x)^(n-alpha) f^(n+1)(x). ``caputo_taylor`` (series) and
 
 Integer orders are handled by the tiny-deviation rule: alpha = n is
 replaced by n - 1e-14, which leaves n - 1 <= effective_alpha < n.
+
+Both rules scale the same power weights (i*h)^(n-alpha) by
+1/Gamma(n+1-alpha); ``power_weights`` keeps only its last table.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -84,8 +86,8 @@ class GridFunction:
         vals = np.array(self.values, dtype=float)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if self.h <= 0.0:
-            raise ValueError(f"step must be positive, got {self.h}")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise ValueError(f"step must be positive and finite, got {self.h}")
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("grid needs at least two nodes")
         if not np.isfinite(vals).all():
@@ -105,9 +107,10 @@ class GridFunction:
         return self.h == other.h and np.array_equal(self.values, other.values)
 
 
-# Weight tables are shared across every Newton iteration of a solve, so
-# they are cached per (effective order, h, m).
-@lru_cache(maxsize=256)
+# One entry: a derivative row asks for the same weights twice, once per
+# rule, while a solve builds each operator once and reads the weights
+# only then.
+@lru_cache(maxsize=1)
 def power_weights(p: float, h: float, m: int) -> np.ndarray:
     """w[i] = (i*h)**p for i = 0..m, with w[0] = 0 exactly.
 
@@ -178,14 +181,16 @@ def caputo_taylor(coeffs, ord: FractionalOrder, x: float, *, max_terms: int = 50
     a = ord.effective
     total = 0.0
     small_run = 0
-    for count, k in enumerate(range(ord.n, len(coeffs))):
+    ks = range(ord.n, len(coeffs))
+    gammas = gamma(np.array(ks) + 1.0 - a).tolist()  # one call for all k
+    for count, (k, g) in enumerate(zip(ks, gammas)):
         if count >= max_terms:
             raise TaylorNonConvergence(f"no convergence after {max_terms} terms at x={x}")
         c = coeffs[k]
         if c == 0.0:
             continue
         try:
-            term = c * x ** (k - a) / gamma(k + 1 - a)
+            term = c * x ** (k - a) / g
         except OverflowError as exc:
             raise TaylorNonConvergence(f"series term overflow at k={k}, x={x}") from exc
         if not math.isfinite(term):
@@ -217,27 +222,16 @@ def caputo_power(beta: float, ord: FractionalOrder, x: float) -> float:
     return float(coeff * x ** (beta - a))
 
 
-@lru_cache(maxsize=8)
-def _tan_series(K: int) -> tuple[Fraction, ...]:
-    a = [Fraction(0)] * (K + 1)
-    if K >= 1:
-        a[1] = Fraction(1)
-    # tan' = 1 + tan^2 applied to the power series
-    for j in range(1, K):
-        conv = sum(a[i] * a[j - i] for i in range(j + 1))
-        a[j + 1] = conv / (j + 1)
-    return tuple(a)
-
-
 def tan_taylor_coeffs(K: int) -> list[float]:
-    """Derivatives of tan at 0, f^(k)(0) for k = 0..K (K <= 60)."""
+    """Derivatives of tan at 0, f^(k)(0) for k = 0..K (K <= 60).
+
+    They are the integers T_0 = 0, T_1 = 1 and, by Leibniz's rule on
+    tan' = 1 + tan^2, T_(k+1) = sum_i C(k, i) T_i T_(k-i); each is rounded
+    to a float once, at the end.
+    """
     if not 0 <= K <= 60:
         raise ValueError(f"K must be in 0..60, got {K}")
-    series = _tan_series(K)
-    out = []
-    fact = 1
-    for k in range(K + 1):
-        if k > 0:
-            fact *= k
-        out.append(float(series[k] * fact))
-    return out
+    t = [0, 1][: K + 1]
+    for k in range(1, K):
+        t.append(sum(math.comb(k, i) * t[i] * t[k - i] for i in range(k + 1)))
+    return [float(v) for v in t]

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fracdual.bench import derivative_table
 from fracdual.caputo import (
     FractionalOrder,
     GridFunction,
@@ -73,6 +75,11 @@ class TestGridFunction:
             GridFunction(0.1, np.array([1.0, np.inf]))
         with pytest.raises(ValueError):
             GridFunction(-0.1, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf")])
+    def test_rejects_non_finite_step(self, h):
+        with pytest.raises(ValueError, match=f"step must be positive and finite, got {h}"):
+            GridFunction(h, np.array([1.0, 2.0]))
 
 
 class TestSubstitution:
@@ -212,6 +219,34 @@ class TestTanCoeffs:
     def test_limit(self):
         with pytest.raises(ValueError):
             tan_taylor_coeffs(61)
+
+    def test_matches_exact_series(self):
+        # power-series coefficients a_k of tan from tan' = 1 + tan^2 in
+        # exact rationals; f^(k)(0) = k! a_k
+        a = [Fraction(0), Fraction(1)]
+        for j in range(1, 60):
+            a.append(sum(a[i] * a[j - i] for i in range(j + 1)) / (j + 1))
+        for K in range(61):
+            assert tan_taylor_coeffs(K) == [float(a[k] * math.factorial(k)) for k in range(K + 1)]
+
+
+def _traced_peak(fn) -> int:
+    power_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_derivative_table_memory_is_one_row():
+    # 300 rows at x = 0.001..0.3, each with its own weight table; keeping
+    # every table would hold about 150 times the largest one
+    points = [round(0.001 * k, 3) for k in range(1, 301)]
+    row = _traced_peak(lambda: derivative_table("exp", 0.4, 1e-5, points[-1:]))
+    table = _traced_peak(lambda: derivative_table("exp", 0.4, 1e-5, points))
+    assert table <= 2 * row
 
 
 class TestProperties:

@@ -81,12 +81,49 @@ def test_gamma_array_matches_scalar():
         assert v == pytest.approx(gamma(float(x)), rel=1e-15)
 
 
-@pytest.mark.parametrize("x,expected", [(150.0, math.inf), (171.0, math.inf), (1e300, math.inf), (-150.5, 0.0)])
+@pytest.mark.parametrize("x", [150.0, 171.0, -150.5])
+def test_gamma_is_finite_up_to_overflow(x):
+    # the Lanczos power base**(x - 0.5) alone overflows from x ~ 142.5,
+    # although Gamma stays finite to x ~ 171.62
+    expected = math.gamma(x)
+    assert gamma(x) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert gamma(np.array([x]))[0] == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("x,expected", [(1e300, math.inf), (171.7, math.inf)])
 def test_gamma_overflow_is_a_value(x, expected):
-    # the Lanczos power overflows from |x| ~ 142.5; a scalar then gives
-    # what the array path gives, not an OverflowError
+    # past the double range the value is inf, not an OverflowError or nan
     assert gamma(x) == expected
     assert abs(gamma(np.array([x]))[0]) == expected
+
+
+# Near a pole the reflection's sin(pi x) loses digits to the rounding of
+# pi x (about 1e-14 absolute at |x| = 20), so the band stops 0.05 short.
+_OFF_POLES = st.floats(-20.0, 0.5, exclude_max=True).filter(lambda x: abs(x - round(x)) >= 0.05)
+
+
+@given(st.lists(st.one_of(st.floats(0.1, 171.6), _OFF_POLES), min_size=1, max_size=20))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_gamma_scalar_is_the_array_path(xs):
+    arr = gamma(np.array(xs))
+    for x, v in zip(xs, arr):
+        s = gamma(x)
+        assert type(s) is float
+        assert s == v
+        assert abs(s - math.gamma(x)) <= 1e-13 * abs(math.gamma(x))
+
+
+@given(st.lists(st.floats(0.1, 171.6), min_size=1, max_size=20))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_lgamma_scalar_is_the_array_path(xs):
+    # log Gamma crosses zero at 1 and 2, so its error is measured absolutely
+    # there: an absolute error in log Gamma is a relative error in Gamma
+    arr = lgamma(np.array(xs))
+    for x, v in zip(xs, arr):
+        s = lgamma(x)
+        assert type(s) is float
+        assert s == v
+        assert abs(s - math.lgamma(x)) <= 1e-13 * max(1.0, abs(math.lgamma(x)))
 
 
 def test_beta_identities():
@@ -132,6 +169,12 @@ def test_beta_gamma_consistency():
 @pytest.mark.parametrize("x,expected", sorted(LGAMMA_GOLDEN.items()))
 def test_lgamma_golden(x, expected):
     assert lgamma(x) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.5, float("nan"), np.array([1.0, -1.0])])
+def test_lgamma_domain(x):
+    with pytest.raises(SpecialFunctionDomainError):
+        lgamma(x)
 
 
 def test_lgamma_small_argument_reflection():

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 INTEGER_ORDER_DELTA = 1e-14
+# caputo_taylor gives up after this many series terms.
+_MAX_TAYLOR_TERMS = 500
 
 
 class MethodKind(Enum):
@@ -167,13 +169,13 @@ def caputo_byparts(
     return float((nth_deriv_at_0 * w[m] + 0.5 * h * s) / gamma(ord.n + 1 - ord.effective))
 
 
-def caputo_taylor(coeffs, ord: FractionalOrder, x: float, *, max_terms: int = 500) -> float:
+def caputo_taylor(coeffs, ord: FractionalOrder, x: float) -> float:
     """Series value of D^alpha f at x from derivatives-at-zero f^(k)(0).
 
     Sums f^(k)(0) x^(k-alpha)/Gamma(k+1-alpha) over k > alpha.
     Truncates once the term magnitude stays below 1e-16 of the partial
     sum for three consecutive k; raises TaylorNonConvergence if
-    ``max_terms`` terms pass without the rule firing.
+    ``_MAX_TAYLOR_TERMS`` terms pass without the rule firing.
     """
     if x < 0.0:
         raise ValueError(f"series oracle needs x >= 0, got {x}")
@@ -184,8 +186,8 @@ def caputo_taylor(coeffs, ord: FractionalOrder, x: float, *, max_terms: int = 50
     ks = range(ord.n, len(coeffs))
     gammas = gamma(np.array(ks) + 1.0 - a).tolist()  # one call for all k
     for count, (k, g) in enumerate(zip(ks, gammas)):
-        if count >= max_terms:
-            raise TaylorNonConvergence(f"no convergence after {max_terms} terms at x={x}")
+        if count >= _MAX_TAYLOR_TERMS:
+            raise TaylorNonConvergence(f"no convergence after {_MAX_TAYLOR_TERMS} terms at x={x}")
         c = coeffs[k]
         if c == 0.0:
             continue

@@ -21,9 +21,10 @@ import numpy as np
 from .bench import derivative_table, run_target
 from .caputo import MethodKind
 from .dual import compare_to_exact, convergence_study, dual_solve
+from .expr import evaluate
 from .problem_file import ProblemFileError, dump_problem, parse_problem
 from .profiles import get_profile
-from .solver import SolverDomainError, solve
+from .solver import SolverConfig, SolverDomainError, solve
 
 _FMT = "%.17g"
 
@@ -104,31 +105,24 @@ def cmd_solve(args) -> int:
         _emit(dump_problem(problem).splitlines(), args.dump_normalized)
         return 0
     cfg = problem.config()
-    lines: list[str] = []
     if args.method == "dual":
-        report = dual_solve(problem.equation, cfg, threshold=problem.threshold)
-        header, cols = _solution_columns(problem, report, "dual")
-        lines.append(header)
-        for k in range(len(cols[0])):
-            lines.append(",".join(_fmt(float(c[k])) for c in cols))
-        lines.append(
-            f"verdict={report.verdict} deviation={_fmt(report.deviation)} threshold={_fmt(report.threshold)}"
-        )
+        result = dual_solve(problem.equation, cfg, threshold=problem.threshold)
+        footer = f"verdict={result.verdict} deviation={_fmt(result.deviation)} threshold={_fmt(result.threshold)}"
         if args.plot_data:
-            _write_plot_data(args.plot_data, problem, report)
+            _write_plot_data(args.plot_data, problem, result)
     else:
         method = MethodKind.SUBSTITUTION if args.method == "subst" else MethodKind.BYPARTS
         try:
-            sol = solve(problem.equation, cfg, method=method)
+            result = solve(problem.equation, cfg, method=method)
         except SolverDomainError as exc:
-            lines.append(f"converged=false reason={exc}")
-            _emit(lines, args.out)
+            _emit([f"converged=false reason={exc}"], args.out)
             return 0
-        header, cols = _solution_columns(problem, sol, args.method)
-        lines.append(header)
-        for k in range(len(cols[0])):
-            lines.append(",".join(_fmt(float(c[k])) for c in cols))
-        lines.append(f"converged={'true' if sol.converged else 'false'} iterations={sol.newton_iters}")
+        footer = f"converged={'true' if result.converged else 'false'} iterations={result.newton_iters}"
+    header, cols = _solution_columns(problem, result, args.method)
+    lines = [header]
+    for k in range(len(cols[0])):
+        lines.append(",".join(_fmt(float(c[k])) for c in cols))
+    lines.append(footer)
     _emit(lines, args.out)
     return 0
 
@@ -143,8 +137,6 @@ def _write_plot_data(prefix: str, problem, report):
             for x, v in zip(grid.x, grid.values):
                 fh.write(f"{_fmt(x)} {_fmt(v)}\n")
     if problem.exact is not None:
-        from .expr import evaluate
-
         x = report.sol_subst.u.x
         exact_vals = np.asarray(evaluate(problem.exact, x, np.zeros_like(x)))
         with open(f"{prefix}_exact.dat", "w", encoding="utf-8", newline="\n") as fh:
@@ -161,8 +153,6 @@ def cmd_convergence(args) -> int:
             raise ProblemFileError("convergence study needs an 'exact' entry in the problem file")
 
         def err_of_h(h):
-            from .solver import SolverConfig
-
             sol = solve(problem.equation, SolverConfig(h=h), method=method)
             if not sol.converged:
                 return None

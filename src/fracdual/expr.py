@@ -6,20 +6,22 @@ Grammar (EBNF):
     term   := factor (("*"|"/") factor)*
     factor := ("-")? power
     power  := atom ("^" factor)?
-    atom   := number | "x" | "u" | "pi" | "e" | ident "(" expr ")" | "(" expr ")"
-    ident  := sin|cos|tan|exp|ln|sqrt|abs|gamma
+    atom   := number | "x" | "u" | "pi" | "e" | name "(" expr ")" | "(" expr ")"
 
-"^" is right-associative and binds tighter than unary minus. Numeric
-literals accept decimal and scientific notation. Trees are immutable
-after parsing; evaluation is pure and accepts floats or numpy arrays
-for x and u. Domain violations (tan near a pole, ln of a non-positive,
-sqrt of a negative, division by zero, fractional powers of negatives)
-raise EvalDomainError instead of propagating NaN.
+where name is a key of ``_FUNCTIONS``. "^" is right-associative and binds
+tighter than unary minus. Numbers are ASCII decimal digits with an
+optional fraction and exponent (1, 2.5, 1e-3), and names are ASCII; any
+other character is a ParseError at its offset. Trees are immutable after
+parsing; evaluation is pure and accepts floats or numpy arrays for x and u.
+Domain violations (tan near a pole, ln of a non-positive, sqrt of a
+negative, division by zero, fractional powers of negatives, gamma at a
+pole) raise EvalDomainError instead of propagating NaN.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -42,13 +44,12 @@ __all__ = [
     "to_string",
 ]
 
-_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "gamma")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _TAN_COS_GUARD = 1e-12
 
 
 class ParseError(ValueError):
-    """Syntax error; carries the byte offset of the offending character."""
+    """Syntax error; carries the offset (string index) of the offending character."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -107,49 +108,25 @@ ExpressionTree = Union[Const, Var, Unary, Binary, Call]
 
 # --- tokenizer --------------------------------------------------------------
 
-_SINGLE = set("+-*/^()")
+# An ASCII number (exponent only when digits follow), an ASCII name, or an
+# operator; whitespace matches nothing and is skipped, and any other
+# character is "bad".
+_TOKEN = re.compile(
+    r"(?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S)"
+)
 
 
 def _tokenize(text: str):
     tokens = []  # (kind, value, offset)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SINGLE:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(("number", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("eof", "", n))
+    for match in _TOKEN.finditer(text):
+        kind, value, offset = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", offset)
+        tokens.append((kind, value, offset))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -222,7 +199,7 @@ class _Parser:
         kind, value, offset = self.advance()
         if kind == "number":
             return Const(float(value))
-        if kind == "ident":
+        if kind == "name":
             if value in ("x", "u"):
                 return Var(value)
             if value in _CONSTANTS:
@@ -248,14 +225,35 @@ def parse_expression(text: str) -> ExpressionTree:
 # --- evaluation ---------------------------------------------------------------
 
 
-def _first_bad_index(mask):
-    idx = np.nonzero(np.atleast_1d(mask))[0]
-    return int(idx[0]) if idx.size else None
-
-
 def _check(mask, message):
     if np.any(mask):
-        raise EvalDomainError(message, index=_first_bad_index(mask) if np.ndim(mask) else None)
+        raise EvalDomainError(message, index=int(np.flatnonzero(mask)[0]) if np.ndim(mask) else None)
+
+
+def _gamma(arg):
+    try:
+        return gamma(arg)
+    except (GammaPoleError, SpecialFunctionDomainError) as exc:
+        raise EvalDomainError(str(exc)) from exc
+
+
+# The grammar's functions: the parser accepts exactly these names.
+_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "ln": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "gamma": _gamma,
+}
+# Guards checked before a function runs: name -> (bad-argument mask, message).
+_DOMAIN = {
+    "tan": (lambda a: np.abs(np.cos(a)) < _TAN_COS_GUARD, "tan evaluated at a pole"),
+    "ln": (lambda a: np.asarray(a) <= 0.0, "ln of a non-positive value"),
+    "sqrt": (lambda a: np.asarray(a) < 0.0, "sqrt of a negative value"),
+}
 
 
 def _pow(base, expo):
@@ -297,30 +295,10 @@ def _eval(node: ExpressionTree, x, u):
         return _pow(left, right)
     # Call
     arg = _eval(node.arg, x, u)
-    f = node.func
-    if f == "sin":
-        return np.sin(arg)
-    if f == "cos":
-        return np.cos(arg)
-    if f == "tan":
-        _check(np.abs(np.cos(arg)) < _TAN_COS_GUARD, "tan evaluated at a pole")
-        return np.tan(arg)
-    if f == "exp":
-        with np.errstate(over="ignore"):
-            return np.exp(arg)
-    if f == "ln":
-        _check(np.asarray(arg) <= 0.0, "ln of a non-positive value")
-        return np.log(arg)
-    if f == "sqrt":
-        _check(np.asarray(arg) < 0.0, "sqrt of a negative value")
-        return np.sqrt(arg)
-    if f == "abs":
-        return np.abs(arg)
-    # gamma
-    try:
-        return gamma(arg)
-    except (GammaPoleError, SpecialFunctionDomainError) as exc:
-        raise EvalDomainError(str(exc)) from exc
+    guard = _DOMAIN.get(node.func)
+    if guard is not None:
+        _check(guard[0](arg), guard[1])
+    return _FUNCTIONS[node.func](arg)
 
 
 def evaluate(tree: ExpressionTree, x=0.0, u=0.0):
@@ -343,11 +321,7 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def _fmt_number(v: float) -> str:
-    if v == math.pi:
-        return "pi"
-    if v == math.e:
-        return "e"
-    return repr(v)
+    return next((name for name, value in _CONSTANTS.items() if v == value), repr(v))
 
 
 def _print(node: ExpressionTree) -> tuple[str, int]:

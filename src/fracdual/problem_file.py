@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .caputo import FractionalOrder
-from .expr import ExpressionTree, parse_expression, to_string
+from .expr import ExpressionTree, ParseError, parse_expression, to_string
 from .solver import EquationSpec, SolverConfig, TermSpec, grid_size
 
 __all__ = ["ProblemFile", "ProblemFileError", "parse_problem", "parse_problem_text", "dump_problem"]
@@ -47,10 +47,13 @@ class ProblemFile:
         return SolverConfig(self.h if h is None else h)
 
 
-def _unquote(value: str, lineno: int) -> str:
-    if len(value) >= 2 and value[0] == '"' and value[-1] == '"':
-        return value[1:-1]
-    raise ProblemFileError(f"expression values must be double-quoted, got {value!r}", lineno)
+def _parse_expr(value: str, key: str, lineno: int) -> ExpressionTree:
+    if not (len(value) >= 2 and value[0] == '"' and value[-1] == '"'):
+        raise ProblemFileError(f"expression values must be double-quoted, got {value!r}", lineno)
+    try:
+        return parse_expression(value[1:-1])
+    except ParseError as exc:
+        raise ProblemFileError(f"bad expression for {key}: {exc}", lineno) from None
 
 
 def _parse_float(value: str, key: str, lineno: int) -> float:
@@ -83,17 +86,11 @@ def parse_problem_text(text: str) -> ProblemFile:
         if term_match:
             index = int(term_match.group(1))
             if term_match.group(2) == "coeff":
-                try:
-                    term_coeff[index] = parse_expression(_unquote(value, lineno))
-                except ValueError as exc:
-                    raise ProblemFileError(f"bad expression for {key}: {exc}", lineno) from exc
+                term_coeff[index] = _parse_expr(value, key, lineno)
             else:
                 term_alpha[index] = _parse_float(value, key, lineno)
         elif key in _EXPR_KEYS:
-            try:
-                exprs[key] = parse_expression(_unquote(value, lineno))
-            except ValueError as exc:
-                raise ProblemFileError(f"bad expression for {key}: {exc}", lineno) from exc
+            exprs[key] = _parse_expr(value, key, lineno)
         elif key in _SCALAR_KEYS:
             scalars[key] = _parse_float(value, key, lineno)
         else:

@@ -90,9 +90,13 @@ def gamma(x):
         raise GammaPoleError(f"gamma: pole at {arr[pole].flat[0]}")
     safe = np.where(arr >= 0.5, arr, 1.0 - arr)
     with np.errstate(all="ignore"):
+        # sin(pi x) = (-1)^n sin(pi (x - n)) with n = round(x): x - n is
+        # exact, while rounding pi x would cost digits near a pole
+        n = np.round(arr)
+        sin_pi = (1.0 - 2.0 * np.mod(n, 2.0)) * np.sin(np.pi * (arr - n))
         direct = np.where(safe > _GAMMA_OVERFLOW, np.inf, _gamma_positive(safe))
         # reflection: gamma(x) = pi / (sin(pi x) * gamma(1 - x)), 1 - x > 0.5
-        out = np.where(arr >= 0.5, direct, np.pi / (np.sin(np.pi * arr) * direct))
+        out = np.where(arr >= 0.5, direct, np.pi / (sin_pi * direct))
     return float(out) if out.ndim == 0 else out
 
 

@@ -74,6 +74,19 @@ def test_unquoted_expression_rejected():
         parse_problem_text(bad)
 
 
+def test_unquoted_coefficient_has_one_line_prefix():
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_text("term.0.coeff = 1\n")
+    assert str(err.value) == "line 1: expression values must be double-quoted, got '1'"
+
+
+def test_bad_expression_names_key_and_line():
+    bad = MINIMAL.replace('forcing = "sin(x)"', 'forcing = "x*\u00b2"')
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_text(bad)
+    assert str(err.value) == "line 5: bad expression for forcing: unexpected character '\u00b2' (offset 2)"
+
+
 def test_term_indices_must_be_contiguous():
     bad = MINIMAL.replace("term.0.coeff", "term.1.coeff").replace("term.0.alpha", "term.1.alpha")
     with pytest.raises(ProblemFileError, match="term indices"):

@@ -34,6 +34,7 @@ __all__ = [
     "run_table3",
     "run_figures",
     "run_target",
+    "TARGETS",
 ]
 
 # x, series oracle, substitution, |err| subst, by-parts, |err| by-parts
@@ -51,6 +52,8 @@ TABLE1_H = 1e-4
 # and weight array holds m + 1 floats, so this caps each at 80 MB, far
 # above the 6*10^5 of the h = 1e-6 rows and the 6*10^3 of TABLE1_H.
 MAX_DERIVATIVE_SAMPLES = 10**7
+# Most points a start:stop:step range may name; each point is one row.
+MAX_TABLE_POINTS = 10**5
 
 # x, by-parts solution, substitution solution (quasilinear_tan, h = 1e-3)
 TABLE2 = (
@@ -290,18 +293,13 @@ def run_figures() -> list[CheckResult]:
     return checks
 
 
+# The reproduction targets, in the order ``all`` runs them.
+TARGETS = {"table1": run_table1, "table2": run_table2, "table3": run_table3, "figures": run_figures}
+
+
 def run_target(target: str) -> list[CheckResult]:
-    runners = {
-        "table1": run_table1,
-        "table2": run_table2,
-        "table3": run_table3,
-        "figures": run_figures,
-    }
     if target == "all":
-        out = []
-        for name in ("table1", "table2", "table3", "figures"):
-            out.extend(runners[name]())
-        return out
-    if target not in runners:
+        return [check for run in TARGETS.values() for check in run()]
+    if target not in TARGETS:
         raise ValueError(f"unknown reproduction target {target!r}")
-    return runners[target]()
+    return TARGETS[target]()

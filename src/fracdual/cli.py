@@ -18,15 +18,18 @@ import sys
 
 import numpy as np
 
-from .bench import derivative_table, run_target
+from .bench import MAX_TABLE_POINTS, TARGETS, derivative_table, run_target
 from .caputo import MethodKind
 from .dual import compare_to_exact, convergence_study, dual_solve
 from .expr import evaluate
 from .problem_file import ProblemFileError, dump_problem, parse_problem
-from .profiles import get_profile
+from .profiles import PROFILE_NAMES, get_profile
 from .solver import SolverConfig, SolverDomainError, solve
 
 _FMT = "%.17g"
+# --method name of each rule; the inverse tags the CSV columns and curve files
+_METHODS = {"subst": MethodKind.SUBSTITUTION, "byparts": MethodKind.BYPARTS}
+_TAGS = {kind: name for name, kind in _METHODS.items()}
 
 
 def _fmt(v: float) -> str:
@@ -51,8 +54,10 @@ def _parse_points(spec: str) -> list[float]:
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise ValueError(f"bad point range {spec!r}")
         # the last point is at or before stop, up to a 1e-9 relative slack
-        count = math.floor((stop - start) / step * (1.0 + 1e-9))
-        return [start + i * step for i in range(count + 1)]
+        steps = (stop - start) / step * (1.0 + 1e-9)
+        if not steps < MAX_TABLE_POINTS:
+            raise ValueError(f"point range {spec!r} names {steps + 1:.6g} points, over {MAX_TABLE_POINTS}")
+        return [start + i * step for i in range(math.floor(steps) + 1)]
     return [float(p) for p in spec.split(",") if p.strip()]
 
 
@@ -70,35 +75,6 @@ def cmd_derivative(args) -> int:
     return 0
 
 
-def _solution_columns(problem, report_or_sol, method: str):
-    exact = problem.exact
-    if method == "dual":
-        report = report_or_sol
-        a, b = report.sol_subst, report.sol_byparts
-        header = "x,u_subst,u_byparts,abs_diff,residual_subst,residual_byparts"
-        cols = [
-            a.u.x,
-            a.u.values,
-            b.u.values,
-            np.abs(a.u.values - b.u.values),
-            a.residual.values,
-            b.residual.values,
-        ]
-        if exact is not None:
-            header += ",error_subst,error_byparts"
-            cols.append(compare_to_exact(a, exact).errors)
-            cols.append(compare_to_exact(b, exact).errors)
-        return header, cols
-    sol = report_or_sol
-    tag = "subst" if method == "subst" else "byparts"
-    header = f"x,u_{tag},residual_{tag}"
-    cols = [sol.u.x, sol.u.values, sol.residual.values]
-    if exact is not None:
-        header += f",error_{tag}"
-        cols.append(compare_to_exact(sol, exact).errors)
-    return header, cols
-
-
 def cmd_solve(args) -> int:
     problem = parse_problem(args.problem)
     if args.dump_normalized is not None:
@@ -106,47 +82,40 @@ def cmd_solve(args) -> int:
         return 0
     cfg = problem.config()
     if args.method == "dual":
-        result = dual_solve(problem.equation, cfg, threshold=problem.threshold)
-        footer = f"verdict={result.verdict} deviation={_fmt(result.deviation)} threshold={_fmt(result.threshold)}"
-        if args.plot_data:
-            _write_plot_data(args.plot_data, problem, result)
+        report = dual_solve(problem.equation, cfg, threshold=problem.threshold)
+        sols = [report.sol_subst, report.sol_byparts]
+        footer = f"verdict={report.verdict} deviation={_fmt(report.deviation)} threshold={_fmt(report.threshold)}"
     else:
-        method = MethodKind.SUBSTITUTION if args.method == "subst" else MethodKind.BYPARTS
         try:
-            result = solve(problem.equation, cfg, method=method)
+            sol = solve(problem.equation, cfg, method=_METHODS[args.method])
         except SolverDomainError as exc:
             _emit([f"converged=false reason={exc}"], args.out)
             return 0
-        footer = f"converged={'true' if result.converged else 'false'} iterations={result.newton_iters}"
-    header, cols = _solution_columns(problem, result, args.method)
-    lines = [header]
-    for k in range(len(cols[0])):
-        lines.append(",".join(_fmt(float(c[k])) for c in cols))
+        sols = [sol]
+        footer = f"converged={'true' if sol.converged else 'false'} iterations={sol.newton_iters}"
+    x = sols[0].u.x
+    curves = {_TAGS[sol.method]: sol.u.values for sol in sols}
+    cols = {"x": x, **{f"u_{tag}": u for tag, u in curves.items()}}
+    if len(sols) == 2:
+        cols["abs_diff"] = np.abs(sols[0].u.values - sols[1].u.values)
+    cols.update((f"residual_{_TAGS[sol.method]}", sol.residual.values) for sol in sols)
+    if problem.exact is not None:
+        exact = evaluate(problem.exact, x, np.zeros_like(x))
+        cols.update((f"error_{tag}", np.abs(u - exact)) for tag, u in curves.items())
+        curves["exact"] = exact
+    lines = [",".join(cols)]
+    lines.extend(",".join(_fmt(float(c[k])) for c in cols.values()) for k in range(len(x)))
     lines.append(footer)
     _emit(lines, args.out)
+    if args.plot_data:
+        for name, values in curves.items():
+            _emit([f"{_fmt(xv)} {_fmt(v)}" for xv, v in zip(x, values)], f"{args.plot_data}_{name}.dat")
     return 0
-
-
-def _write_plot_data(prefix: str, problem, report):
-    curves = {
-        "subst": report.sol_subst.u,
-        "byparts": report.sol_byparts.u,
-    }
-    for name, grid in curves.items():
-        with open(f"{prefix}_{name}.dat", "w", encoding="utf-8", newline="\n") as fh:
-            for x, v in zip(grid.x, grid.values):
-                fh.write(f"{_fmt(x)} {_fmt(v)}\n")
-    if problem.exact is not None:
-        x = report.sol_subst.u.x
-        exact_vals = np.asarray(evaluate(problem.exact, x, np.zeros_like(x)))
-        with open(f"{prefix}_exact.dat", "w", encoding="utf-8", newline="\n") as fh:
-            for xv, v in zip(x, exact_vals):
-                fh.write(f"{_fmt(xv)} {_fmt(v)}\n")
 
 
 def cmd_convergence(args) -> int:
     h_list = _parse_h_list(args.h_list)
-    method = MethodKind.SUBSTITUTION if args.method == "subst" else MethodKind.BYPARTS
+    method = _METHODS[args.method]
     if args.problem is not None:
         problem = parse_problem(args.problem)
         if problem.exact is None:
@@ -202,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("derivative", help="tabulate a fractional derivative by both quadratures")
-    p.add_argument("--f", required=True, help="function profile: tan|sin|cos|exp|const1|x^<beta>")
+    p.add_argument("--f", required=True, help=f"function profile: {'|'.join(PROFILE_NAMES)}")
     p.add_argument("--alpha", type=float, required=True, help="derivative order > 0")
     p.add_argument("--h", type=float, required=True, help="grid step")
     p.add_argument("--points", required=True, help="evaluation points: start:stop:step or comma list")
@@ -216,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--problem", required=True, help="problem file path")
         if forced_method is None:
-            p.add_argument("--method", choices=("subst", "byparts", "dual"), default="dual")
+            p.add_argument("--method", choices=(*_METHODS, "dual"), default="dual")
         p.add_argument("--out", default=None)
         p.add_argument("--plot-data", default=None, help="prefix for two-column curve files")
         p.add_argument("--dump-normalized", default=None, help="write the normalized problem file and exit")
@@ -228,12 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--x", type=float, default=None, help="derivative mode: evaluation point")
     p.add_argument("--h-list", required=True, help="comma list of halving steps, e.g. 4e-4,2e-4,1e-4")
-    p.add_argument("--method", choices=("subst", "byparts"), default="subst")
+    p.add_argument("--method", choices=tuple(_METHODS), default=_TAGS[MethodKind.SUBSTITUTION])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("reproduce", help="run the pinned benchmark reproduction suite")
-    p.add_argument("target", choices=("table1", "table2", "table3", "figures", "all"))
+    p.add_argument("target", choices=(*TARGETS, "all"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_reproduce)
     return parser

@@ -143,7 +143,7 @@ def dual_solve(
 def compare_to_exact(sol: Solution, exact: ExpressionTree) -> ExactErrorReport:
     """Per-node absolute error of a solution against an exact expression in x."""
     x = sol.u.x
-    exact_vals = np.asarray(evaluate(exact, x, np.zeros_like(x)), dtype=float)
+    exact_vals = evaluate(exact, x, np.zeros_like(x))
     errors = np.abs(sol.u.values - exact_vals)
     return ExactErrorReport(x=x, errors=errors, sup=float(np.max(errors)))
 

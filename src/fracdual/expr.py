@@ -305,13 +305,16 @@ def evaluate(tree: ExpressionTree, x=0.0, u=0.0):
     """Evaluate ``tree`` at (x, u).
 
     Scalars in, float out; numpy arrays in, array out (broadcasting the
-    scalar argument when only one is an array). Overflow gives inf and
-    inf - inf gives nan, silently: callers check finiteness themselves.
+    scalar argument when only one is an array), also when the tree reads
+    no array (``"2.5"``, or ``"u"`` with a scalar u). Overflow gives inf
+    and inf - inf gives nan, silently: callers check finiteness themselves.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         result = _eval(tree, x, u)
-    if np.isscalar(x) and np.isscalar(u) and not isinstance(result, float):
+    if np.isscalar(x) and np.isscalar(u):
         return float(result)
+    if np.ndim(result) == 0:
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(u)), result)
     return result
 
 

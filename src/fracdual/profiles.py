@@ -10,6 +10,7 @@ propagates honestly through whatever consumes it.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -130,7 +131,10 @@ def get_profile(name: str) -> DerivativeProfile:
         return _NAMED[key]()
     match = _POWER_RE.match(key)
     if match:
-        return _power_profile(float(match.group(1)))
+        beta = float(match.group(1))
+        if not math.isfinite(beta):
+            raise ValueError(f"exponent of {name!r} must be finite, got {beta}")
+        return _power_profile(beta)
     raise ValueError(
         f"unknown function profile {name!r}; choose one of {', '.join(PROFILE_NAMES)}"
     )

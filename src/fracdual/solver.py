@@ -50,6 +50,10 @@ DAMPING_MIN = 1.0 / 64.0
 # one-sided row 1 reaches A[1, 4] (by-parts, and substitution at n = 2).
 _BANDWIDTH = 3
 _BLOCK = 32  # rows of J per QR panel of the Newton step
+# Most steps m a grid may have. A solve allocates a few (m + 1)-float
+# arrays per term before its first Newton step, so this keeps each at 8 MB
+# while leaving ten times the m = 10^5 the step is meant to reach.
+MAX_GRID_STEPS = 10**6
 
 class SolverDomainError(RuntimeError):
     """Expression domain errors blocked every damping level; cannot proceed."""
@@ -132,10 +136,12 @@ class Solution:
 
 
 def grid_size(T: float, h: float) -> int:
-    """Number of steps m with m*h = T; validates divisibility and m >= 8."""
+    """Number of steps m with m*h = T; validates divisibility and 8 <= m <= MAX_GRID_STEPS."""
     if not (math.isfinite(T) and math.isfinite(h) and h > 0.0):
         raise ValueError(f"need a finite interval end and a positive finite step, got T={T}, h={h}")
     ratio = T / h
+    if not ratio < MAX_GRID_STEPS + 0.5:
+        raise ValueError(f"grid too fine: T/h = {ratio:.6g}, over {MAX_GRID_STEPS} steps")
     m = int(round(ratio))
     if m < 8:
         raise ValueError(f"grid too coarse: T/h = {ratio}, need at least 8 steps")
@@ -145,13 +151,12 @@ def grid_size(T: float, h: float) -> int:
 
 
 def _tree_eval(tree, x, u, node_offset: int) -> np.ndarray:
-    """``evaluate`` as a float array shaped like ``x``; domain errors name their node."""
+    """``evaluate``, with domain errors naming their node."""
     try:
-        value = evaluate(tree, x, u)
+        return evaluate(tree, x, u)
     except EvalDomainError as exc:
         node = None if exc.index is None else exc.index + node_offset
         raise ResidualDomainError(str(exc), node) from exc
-    return np.broadcast_to(np.asarray(value, dtype=float), x.shape)
 
 
 class _Workspace:

@@ -5,9 +5,11 @@ import re
 import warnings
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from fracdual.cli import _parse_points, main
+from fracdual.expr import evaluate, parse_expression
 
 TINY_PROBLEM = """
 term.0.coeff = "1"
@@ -140,26 +142,33 @@ def test_dump_normalized_round_trip(tiny_problem, tmp_path):
     assert again.exact == original.exact
 
 
-def test_plot_data_files(tiny_problem, tmp_path):
-    prefix = tmp_path / "curves"
-    code = main(
-        [
-            "solve",
-            "--problem",
-            str(tiny_problem),
-            "--method",
-            "dual",
-            "--plot-data",
-            str(prefix),
-            "--out",
-            str(tmp_path / "out.csv"),
-        ]
-    )
+@pytest.mark.parametrize("exact", ["x^1.2", "2.5"], ids=["power", "constant"])
+@pytest.mark.parametrize(
+    "args, tags",
+    [
+        (["solve", "--method", "subst"], ["subst"]),
+        (["solve", "--method", "byparts"], ["byparts"]),
+        (["solve", "--method", "dual"], ["subst", "byparts"]),
+        (["dual"], ["subst", "byparts"]),
+    ],
+    ids=["subst", "byparts", "solve_dual", "dual"],
+)
+def test_plot_data_files(tmp_path, args, tags, exact):
+    path = tmp_path / "p.prob"
+    path.write_text(TINY_PROBLEM.replace('exact = "x^1.2"', f'exact = "{exact}"'), encoding="utf-8")
+    code, text = run(args + ["--problem", str(path), "--plot-data", str(tmp_path / "curves")], tmp_path / "out.csv")
     assert code == 0
-    for suffix in ("subst", "byparts", "exact"):
-        data = (tmp_path / f"curves_{suffix}.dat").read_text(encoding="utf-8")
-        rows = [line.split() for line in data.strip().split("\n")]
-        assert len(rows) == 21 and len(rows[0]) == 2
+    assert sorted(p.name for p in tmp_path.glob("*.dat")) == sorted(f"curves_{t}.dat" for t in tags + ["exact"])
+    lines = text.strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:-1]]
+    assert len(rows) == 21
+    x = [row["x"] for row in rows]
+    exact_vals = evaluate(parse_expression(exact), np.array([float(v) for v in x]), 0.0)
+    expected = {tag: [row[f"u_{tag}"] for row in rows] for tag in tags}
+    expected["exact"] = ["%.17g" % v for v in exact_vals]
+    for tag, values in expected.items():
+        data = (tmp_path / f"curves_{tag}.dat").read_text(encoding="utf-8")
+        assert data.split("\n")[:-1] == [f"{a} {b}" for a, b in zip(x, values)]
 
 
 def test_convergence_csv(tmp_path):
@@ -241,8 +250,28 @@ def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
             "point 1.0 at step 1e-320 needs m = x/h = inf samples, over 10000000",
         ),
         ("derivative --f tan --alpha 0.4 --h 0.01 --points 0", "point 0.0 is below the step 0.01: the rules need x >= h"),
+        # rejected before the point list is built
+        (
+            "derivative --f tan --alpha 0.4 --h 0.01 --points 0:1:1e-320",
+            "point range '0:1:1e-320' names inf points, over 100000",
+        ),
+        (
+            "derivative --f tan --alpha 0.4 --h 0.01 --points 0:1:1e-9",
+            "point range '0:1:1e-9' names 1e+09 points, over 100000",
+        ),
+        ("derivative --f x^1e400 --alpha 0.4 --h 0.01 --points 0.1", "exponent of 'x^1e400' must be finite, got inf"),
     ],
-    ids=["zero_step", "infinite_point", "zero_steps", "tiny_steps", "subnormal_step", "point_zero"],
+    ids=[
+        "zero_step",
+        "infinite_point",
+        "zero_steps",
+        "tiny_steps",
+        "subnormal_step",
+        "point_zero",
+        "subnormal_range_step",
+        "huge_range",
+        "infinite_exponent",
+    ],
 )
 def test_bad_numeric_input_exits_2(tmp_path, capsys, args, message):
     code = main(args.split() + ["--out", str(tmp_path / "o.csv")])

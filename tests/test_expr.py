@@ -115,6 +115,15 @@ def test_vectorized_matches_scalar():
         assert v == evaluate(tree, float(x), 0.0)
 
 
+@pytest.mark.parametrize("text", ["2.5", "u", "sin(1) + pi"])
+def test_array_in_array_out_when_no_array_is_read(text):
+    tree = parse_expression(text)
+    for x in (np.linspace(0.1, 1.0, 5), np.zeros((2, 3))):
+        out = evaluate(tree, x, 0.5)
+        assert isinstance(out, np.ndarray) and out.shape == x.shape
+        assert np.all(out == evaluate(tree, 0.5, 0.5))
+
+
 def test_negative_base_integer_exponent():
     assert ev("u^3", u=-2.0) == -8.0
     assert ev("u^2", u=-2.0) == 4.0

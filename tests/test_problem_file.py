@@ -98,6 +98,12 @@ def test_grid_divisibility_checked():
         parse_problem_text(MINIMAL.replace("h = 0.1", "h = 0.03"))
 
 
+def test_grid_cap_checked():
+    # rejected at parse time, before a solve could allocate m + 1 = 10^9 floats
+    with pytest.raises(ProblemFileError, match=r"grid too fine: T/h = 1e\+09, over 1000000 steps"):
+        parse_problem_text(MINIMAL.replace("h = 0.1", "h = 1e-9"))
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [

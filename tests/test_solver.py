@@ -6,6 +6,7 @@ values the benchmarks publish.
 """
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from fracdual.expr import evaluate, parse_expression
 from fracdual.operators import operator_for
 from fracdual.solver import (
     _BANDWIDTH,
+    MAX_GRID_STEPS,
     EquationSpec,
     ResidualDomainError,
     SolverConfig,
@@ -111,6 +113,12 @@ class TestGridAndLayout:
     def test_grid_rejects_coarse(self):
         with pytest.raises(ValueError):
             grid_size(1.0, 0.2)
+
+    @pytest.mark.parametrize("h, ratio", [(1e-9, "1e+09"), (1e-320, "inf")])
+    def test_grid_rejects_too_fine(self, h, ratio):
+        assert grid_size(1.0, 1e-6) == MAX_GRID_STEPS
+        with pytest.raises(ValueError, match=re.escape(f"grid too fine: T/h = {ratio}, over {MAX_GRID_STEPS} steps")):
+            grid_size(1.0, h)
 
     @pytest.mark.parametrize(
         "T, h, message",

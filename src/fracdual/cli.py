@@ -24,7 +24,7 @@ from .dual import compare_to_exact, convergence_study, dual_solve
 from .expr import evaluate
 from .problem_file import ProblemFileError, dump_problem, parse_problem
 from .profiles import PROFILE_NAMES, get_profile
-from .solver import SolverConfig, SolverDomainError, solve
+from .solver import SolverConfig, grid_size, solve
 
 _FMT = "%.17g"
 # --method name of each rule; the inverse tags the CSV columns and curve files
@@ -86,19 +86,19 @@ def cmd_solve(args) -> int:
         sols = [report.sol_subst, report.sol_byparts]
         footer = f"verdict={report.verdict} deviation={_fmt(report.deviation)} threshold={_fmt(report.threshold)}"
     else:
-        try:
-            sol = solve(problem.equation, cfg, method=_METHODS[args.method])
-        except SolverDomainError as exc:
-            _emit([f"converged=false reason={exc}"], args.out)
-            return 0
+        sol = solve(problem.equation, cfg, method=_METHODS[args.method])
         sols = [sol]
         footer = f"converged={'true' if sol.converged else 'false'} iterations={sol.newton_iters}"
-    x = sols[0].u.x
-    curves = {_TAGS[sol.method]: sol.u.values for sol in sols}
+        if sol.failure is not None:
+            footer += f" reason={sol.failure}"
+    x = np.arange(grid_size(problem.equation.interval_end, cfg.h) + 1) * cfg.h
+    # a method with no iterate prints nan in every column it feeds
+    missing = np.full_like(x, np.nan)
+    curves = {_TAGS[sol.method]: missing if sol.u is None else sol.u.values for sol in sols}
     cols = {"x": x, **{f"u_{tag}": u for tag, u in curves.items()}}
     if len(sols) == 2:
-        cols["abs_diff"] = np.abs(sols[0].u.values - sols[1].u.values)
-    cols.update((f"residual_{_TAGS[sol.method]}", sol.residual.values) for sol in sols)
+        cols["abs_diff"] = np.abs(curves["subst"] - curves["byparts"])
+    cols.update((f"residual_{_TAGS[sol.method]}", missing if sol.u is None else sol.residual.values) for sol in sols)
     if problem.exact is not None:
         exact = evaluate(problem.exact, x, np.zeros_like(x))
         cols.update((f"error_{tag}", np.abs(u - exact)) for tag, u in curves.items())

@@ -14,9 +14,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .caputo import GridFunction, MethodKind
+from .caputo import MethodKind
 from .expr import ExpressionTree, evaluate
-from .solver import EquationSpec, Solution, SolverConfig, SolverDomainError, grid_size, solve
+from .solver import EquationSpec, Solution, SolverConfig, solve
 
 __all__ = [
     "VerdictKind",
@@ -102,35 +102,22 @@ def dual_solve(
 
     Reliable iff both converged and the scaled sup-norm deviation is at
     most the threshold; a non-converged method yields MethodFailed with
-    the offending method(s) named. Solver domain errors count as that
-    method failing. Such a method has no iterate: its Solution holds zero
-    placeholders for u and the residual, and the deviation is nan.
+    the offending method(s) named. The deviation is nan when a method
+    has no iterate to compare.
     """
     thr = default_threshold(cfg.h) if threshold is None else float(threshold)
     if not (math.isfinite(thr) and thr > 0.0):
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    sols = {}
-    failed = []
-    domain_failed = False
-    for method in (MethodKind.SUBSTITUTION, MethodKind.BYPARTS):
-        try:
-            sol = solve(eq, cfg, method=method)
-        except SolverDomainError:
-            domain_failed = True
-            zeros = GridFunction(cfg.h, np.zeros(grid_size(eq.interval_end, cfg.h) + 1))
-            sol = Solution(u=zeros, residual=zeros, converged=False, newton_iters=0, method=method)
-        sols[method] = sol
-        if not sol.converged:
-            failed.append(method)
-    a = sols[MethodKind.SUBSTITUTION]
-    b = sols[MethodKind.BYPARTS]
-    if domain_failed:
+    a = solve(eq, cfg, method=MethodKind.SUBSTITUTION)
+    b = solve(eq, cfg, method=MethodKind.BYPARTS)
+    failed = tuple(sol.method for sol in (a, b) if not sol.converged)
+    if a.u is None or b.u is None:
         deviation = np.nan
     else:
         diff = float(np.max(np.abs(a.u.values - b.u.values)))
         deviation = diff / max(1.0, float(np.max(np.abs(b.u.values))))
     if failed:
-        verdict = Verdict(VerdictKind.METHOD_FAILED, tuple(failed))
+        verdict = Verdict(VerdictKind.METHOD_FAILED, failed)
     elif deviation <= thr:
         verdict = Verdict(VerdictKind.RELIABLE)
     else:
@@ -140,8 +127,14 @@ def dual_solve(
     )
 
 
+def _require_iterate(sol: Solution) -> None:
+    if sol.u is None:
+        raise ValueError(f"{sol.method.value} has no iterate to compare: {sol.failure}")
+
+
 def compare_to_exact(sol: Solution, exact: ExpressionTree) -> ExactErrorReport:
     """Per-node absolute error of a solution against an exact expression in x."""
+    _require_iterate(sol)
     x = sol.u.x
     exact_vals = evaluate(exact, x, np.zeros_like(x))
     errors = np.abs(sol.u.values - exact_vals)
@@ -150,6 +143,8 @@ def compare_to_exact(sol: Solution, exact: ExpressionTree) -> ExactErrorReport:
 
 def inter_method_difference(a: Solution, b: Solution) -> ExactErrorReport:
     """Pointwise |a - b| on the shared grid, plus its sup-norm."""
+    _require_iterate(a)
+    _require_iterate(b)
     if a.u.values.shape != b.u.values.shape or a.u.h != b.u.h:
         raise ValueError("solutions live on different grids")
     diff = np.abs(a.u.values - b.u.values)
@@ -174,12 +169,7 @@ def convergence_study(
     for a, b in zip(hs, hs[1:]):
         if abs(a / b - 2.0) > 1e-9:
             raise ValueError(f"steps must halve: {a} -> {b}")
-    errors: list[Optional[float]] = []
-    for h in hs:
-        try:
-            errors.append(error_of_h(h))
-        except SolverDomainError:
-            errors.append(None)
+    errors = [error_of_h(h) for h in hs]
     rows: list[OrderRow] = []
     prev: Optional[float] = None
     for h, err in zip(hs, errors):

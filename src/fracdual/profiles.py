@@ -18,6 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .caputo import FractionalOrder, caputo_power, caputo_taylor, tan_taylor_coeffs
+from .special_functions import gamma
+
 __all__ = ["DerivativeProfile", "get_profile", "PROFILE_NAMES"]
 
 _SERIES_TERMS = 48
@@ -134,6 +136,8 @@ def get_profile(name: str) -> DerivativeProfile:
         beta = float(match.group(1))
         if not math.isfinite(beta):
             raise ValueError(f"exponent of {name!r} must be finite, got {beta}")
+        if not math.isfinite(gamma(beta + 1.0)):
+            raise ValueError(f"exponent of {name!r} overflows the oracle's gamma(beta + 1), got {beta}")
         return _power_profile(beta)
     raise ValueError(
         f"unknown function profile {name!r}; choose one of {', '.join(PROFILE_NAMES)}"

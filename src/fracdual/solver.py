@@ -31,7 +31,6 @@ __all__ = [
     "EquationSpec",
     "SolverConfig",
     "Solution",
-    "SolverDomainError",
     "ResidualDomainError",
     "grid_size",
     "assemble_residual",
@@ -54,10 +53,6 @@ _BLOCK = 32  # rows of J per QR panel of the Newton step
 # arrays per term before its first Newton step, so this keeps each at 8 MB
 # while leaving ten times the m = 10^5 the step is meant to reach.
 MAX_GRID_STEPS = 10**6
-
-class SolverDomainError(RuntimeError):
-    """Expression domain errors blocked every damping level; cannot proceed."""
-
 
 class ResidualDomainError(ValueError):
     """Expression domain error during residual assembly, tagged with the node."""
@@ -128,11 +123,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Solution:
-    u: GridFunction
-    residual: GridFunction
-    converged: bool
+    """How one method's solve ended. ``failure`` says why it did not
+    converge; u and the residual are None when no start could be evaluated."""
+
+    u: Optional[GridFunction]
+    residual: Optional[GridFunction]
     newton_iters: int
     method: MethodKind
+    failure: Optional[str] = None
+
+    @property
+    def converged(self) -> bool:
+        return self.failure is None
 
 
 def grid_size(T: float, h: float) -> int:
@@ -186,8 +188,9 @@ class _Workspace:
         return f, g, [_tree_eval(t.coeff, xc, uc, nic) for t in eq.terms]
 
     def residual_terms(self, u: np.ndarray):
-        """The residual of u, the products A_i @ u it was formed from, and the
-        scale its sums cancel over: the same sums taken of absolute values."""
+        """The residual of u, the parts it was formed from (f, g, every K_i
+        and every product A_i @ u), and the scale its sums cancel over: the
+        same sums taken of absolute values."""
         nic, au = self.n_ic, np.abs(u)
         r = np.empty(self.m + 1)
         r[:nic] = self.ic_rows @ u[:3] / self.ic_denom - self.ic_vals
@@ -201,12 +204,12 @@ class _Workspace:
                 acc = acc + K * Au[nic:]
                 scale = scale + np.abs(K) * (abs(A) @ au)[nic:]
         r[nic:] = acc
-        return r, products, max(float(np.max(scale)), float(np.max(ic_scale)))
+        return r, (f, g, Ks, products), max(float(np.max(scale)), float(np.max(ic_scale)))
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         return self.residual_terms(u)[0]
 
-    def jacobian(self, u: np.ndarray, products: list):
+    def jacobian(self, u: np.ndarray, parts: tuple):
         """Forward-difference Jacobian J, column step 1e-7*(1+|u_j|), as the
         accessor columns(k, l0, l1) = J[k:, l0:l1]: a new array per call, in
         column-major order so that the step reads J^T by rows.
@@ -214,14 +217,13 @@ class _Workspace:
         Expression trees act pointwise, so the finite-difference column j
         differs from the linear part only in its diagonal entry; the
         closed form below reproduces the column-by-column differences
-        without m+1 full residual evaluations. ``products`` are the
-        A_i @ u of ``residual_terms(u)``.
+        without m+1 full residual evaluations. ``parts`` are those of
+        ``residual_terms(u)``.
         """
         nic, m = self.n_ic, self.m
-        eps = 1e-7 * (1.0 + np.abs(u))
-        uc, epsc = u[nic:], eps[nic:]
-        f, g, Ks = self._parts(uc)
-        fp, gp, Kps = self._parts(uc + epsc)
+        epsc = 1e-7 * (1.0 + np.abs(u[nic:]))
+        f, g, Ks, products = parts
+        fp, gp, Kps = self._parts(u[nic:] + epsc)
         diag = np.zeros(m + 1)
         for K, Kp, A, Au in zip(Ks, Kps, self.ops, products):
             diag[nic:] += (Kp - K) / epsc * Au[nic:] + (Kp - K) * A.diagonal()[nic:]
@@ -301,18 +303,27 @@ def _converged(r: np.ndarray, u: np.ndarray, scale: float) -> bool:
 
 
 def _newton(ws: _Workspace, u0: np.ndarray):
+    """Damped Newton from u0: (u, r, iterations, failure), where failure is
+    None once converged and otherwise says why the iteration stopped. A start
+    whose residual cannot be formed leaves no iterate: u = r = None."""
     u = u0.copy()
-    r, products, scale = ws.residual_terms(u)  # ResidualDomainError propagates: bad starting point
-    if not np.isfinite(r).all():
-        raise ResidualDomainError("non-finite starting residual", int(np.flatnonzero(~np.isfinite(r))[0]))
+    try:
+        r, parts, scale = ws.residual_terms(u)
+    except ResidualDomainError as exc:
+        return None, None, 0, str(exc)
+    bad = np.flatnonzero(~np.isfinite(r))
+    if bad.size:
+        return None, None, 0, f"non-finite starting residual at node {bad[0]}"
     iters = 0
     for _ in range(NEWTON_MAX_ITER):
         if _converged(r, u, scale):
-            return u, r, iters, True
+            return u, r, iters, None
         try:
-            delta = _solve_upper_banded(ws.jacobian(u, products), -r)
+            delta = _solve_upper_banded(ws.jacobian(u, parts), -r)
+        except ResidualDomainError as exc:  # the probe at u + eps left the domain
+            return u, r, iters, f"Jacobian probe: {exc}"
         except np.linalg.LinAlgError:
-            return u, r, iters, False
+            return u, r, iters, "singular Newton step"
         rnorm = float(np.max(np.abs(r)))
         lam = 1.0
         accepted = None
@@ -330,44 +341,36 @@ def _newton(ws: _Workspace, u0: np.ndarray):
                 break
             lam *= 0.5
         if accepted is None:
-            if domain_blocked:
-                raise SolverDomainError(
-                    "expression domain error at every damping level; solver cannot proceed"
-                )
-            return u, r, iters, False  # stalled: non-convergence is data
-        u, r, products, scale = accepted
+            blocked = "expression domain error at every damping level"
+            return u, r, iters, blocked if domain_blocked else "line search found no decrease"
+        u, r, parts, scale = accepted
         iters += 1
-    return u, r, iters, _converged(r, u, scale)
+    return u, r, iters, None if _converged(r, u, scale) else f"no convergence in {NEWTON_MAX_ITER} iterations"
 
 
 def solve(eq: EquationSpec, cfg: SolverConfig, method: MethodKind) -> Solution:
     """Damped-Newton solve of the collocation system.
 
-    Non-convergence returns the best iterate with converged=False; only a
-    domain error that survives every damping level raises. The initial
-    guess is the constant ic_u0, retried once from the linear profile
-    ic_u0 + ic_du0*x when a first-derivative condition exists.
+    Every outcome is a Solution: one that did not converge carries the
+    reason in ``failure`` and its last iterate, or no iterate when no start
+    could be evaluated. The initial guess is the constant ic_u0, retried
+    once from the linear profile ic_u0 + ic_du0*x when a first-derivative
+    condition exists; the last start that left an iterate is reported.
     """
     ws = _Workspace(eq, cfg, method)
     guesses = [np.full(ws.m + 1, float(eq.ic_u0))]
     if eq.ic_du0 is not None and eq.ic_du0 != 0.0:
         guesses.append(eq.ic_u0 + eq.ic_du0 * ws.x)
-    result = last_exc = None
+    results = []
     for guess in guesses:
-        try:
-            result = _newton(ws, guess)  # kept when a later guess raises
-        except (ResidualDomainError, SolverDomainError) as exc:
-            last_exc = exc
-            continue
-        if result[3]:
+        results.append(_newton(ws, guess))
+        if results[-1][3] is None:
             break
-    if result is None:
-        raise SolverDomainError(str(last_exc))
-    u, r, iters, ok = result
+    u, r, iters, failure = next((res for res in reversed(results) if res[0] is not None), results[-1])
     return Solution(
-        u=GridFunction(cfg.h, u),
-        residual=GridFunction(cfg.h, r),
-        converged=ok,
+        u=None if u is None else GridFunction(cfg.h, u),
+        residual=None if r is None else GridFunction(cfg.h, r),
         newton_iters=iters,
         method=method,
+        failure=failure,
     )

@@ -104,7 +104,53 @@ def test_overflowing_forcing_is_a_failure_not_an_error(tmp_path):
     assert text.strip().split("\n")[-1].startswith("verdict=MethodFailed(substitution,byparts) deviation=nan ")
     code, text = run(["solve", "--problem", str(path), "--method", "subst"], tmp_path / "s.csv")
     assert code == 0
-    assert text == "converged=false reason=non-finite starting residual at node 15\n"
+    assert text.split("\n")[-2] == "converged=false iterations=0 reason=non-finite starting residual at node 15"
+
+
+@pytest.mark.parametrize(
+    "args, tags",
+    [(["dual"], ["subst", "byparts"]), (["solve", "--method", "subst"], ["subst"])],
+    ids=["dual", "subst"],
+)
+def test_failed_method_prints_nan(tmp_path, args, tags):
+    # ln(x - 2) is undefined on the whole grid: no method has an iterate,
+    # so every cell a method feeds reads nan; x and the exact curve do not
+    path = tmp_path / "undefined.prob"
+    path.write_text(TINY_PROBLEM.replace('forcing = "x^1.2', 'forcing = "ln(x - 2) + x^1.2'), encoding="utf-8")
+    code, text = run(args + ["--problem", str(path), "--plot-data", str(tmp_path / "curves")], tmp_path / "f.csv")
+    assert code == 0
+    lines = text.split("\n")[:-1]
+    header = lines[0].split(",")
+    fed = [f"u_{t}" for t in tags] + ["abs_diff"] * (len(tags) == 2)
+    fed += [f"{col}_{t}" for col in ("residual", "error") for t in tags]
+    assert header == ["x"] + fed
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert len(rows) == 21
+    assert all(row[1:] == ["nan"] * len(fed) for row in rows)
+    if len(tags) == 2:
+        assert lines[-1].startswith("verdict=MethodFailed(substitution,byparts) deviation=nan threshold=")
+    else:
+        assert re.fullmatch(r"converged=false iterations=0 reason=ln.* at node 1", lines[-1])
+    for tag in tags:
+        data = (tmp_path / f"curves_{tag}.dat").read_text(encoding="utf-8").split("\n")[:-1]
+        assert data == [f"{row[0]} nan" for row in rows]
+    exact = (tmp_path / "curves_exact.dat").read_text(encoding="utf-8")
+    assert "nan" not in exact and len(exact.split("\n")) == 22
+
+
+def test_jacobian_probe_domain_error_is_a_failure_not_an_error(tmp_path):
+    # sqrt(1 - u) is defined at the start u = 1 but not at the Jacobian's
+    # probe just above it: both methods fail, keeping the start
+    path = tmp_path / "probe.prob"
+    text = TINY_PROBLEM.replace('forcing = "x^1.2', 'forcing = "sqrt(1 - u) + x^1.2').replace("ic.u0 = 0.0", "ic.u0 = 1.0")
+    path.write_text(text, encoding="utf-8")
+    code, text = run(["dual", "--problem", str(path)], tmp_path / "d.csv")
+    assert code == 0
+    assert text.split("\n")[-2].startswith("verdict=MethodFailed(substitution,byparts) deviation=0 ")
+    code, text = run(["solve", "--problem", str(path), "--method", "byparts"], tmp_path / "s.csv")
+    assert code == 0
+    reason = "Jacobian probe: sqrt of a negative value (array index 0) at node 1"
+    assert text.split("\n")[-2] == f"converged=false iterations=0 reason={reason}"
 
 
 def test_single_method_solve(tiny_problem, tmp_path):
@@ -260,6 +306,15 @@ def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
             "point range '0:1:1e-9' names 1e+09 points, over 100000",
         ),
         ("derivative --f x^1e400 --alpha 0.4 --h 0.01 --points 0.1", "exponent of 'x^1e400' must be finite, got inf"),
+        # Gamma(beta + 1) of the oracle overflows from beta ~ 170.62 on
+        (
+            "derivative --f x^400 --alpha 0.4 --h 0.01 --points 0.5",
+            "exponent of 'x^400' overflows the oracle's gamma(beta + 1), got 400.0",
+        ),
+        (
+            "derivative --f x^1e300 --alpha 0.4 --h 0.01 --points 0.5",
+            "exponent of 'x^1e300' overflows the oracle's gamma(beta + 1), got 1e+300",
+        ),
     ],
     ids=[
         "zero_step",
@@ -271,6 +326,8 @@ def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
         "subnormal_range_step",
         "huge_range",
         "infinite_exponent",
+        "overflowing_exponent",
+        "huge_exponent",
     ],
 )
 def test_bad_numeric_input_exits_2(tmp_path, capsys, args, message):

@@ -25,7 +25,6 @@ def _fake_solution(h, values, method=MethodKind.SUBSTITUTION):
     return Solution(
         u=GridFunction(h, arr),
         residual=GridFunction(h, np.zeros_like(arr)),
-        converged=True,
         newton_iters=1,
         method=method,
     )
@@ -58,8 +57,8 @@ class TestVerdicts:
         assert "MethodFailed" in str(report.verdict)
 
     def test_domain_failure_reports_no_deviation(self):
-        # ln(x - 2) is undefined on all of [0, 1]: both methods hit a domain
-        # error at every damping level and have no iterate to compare
+        # ln(x - 2) is undefined on all of [0, 1]: no start can be
+        # evaluated, so neither method has an iterate
         eq = EquationSpec(
             terms=(TermSpec(parse_expression("1"), FractionalOrder(0.5)),),
             forcing=parse_expression("ln(x - 2)"),
@@ -72,6 +71,8 @@ class TestVerdicts:
         assert report.verdict.failed == (MethodKind.SUBSTITUTION, MethodKind.BYPARTS)
         assert math.isnan(report.deviation)
         assert not report.verdict.reliable
+        for sol in (report.sol_subst, report.sol_byparts):
+            assert sol.u is None and sol.residual is None and sol.failure.endswith(" at node 1")
 
     def test_overflowing_forcing_reports_no_deviation(self):
         # exp(1000*x) overflows on the grid: the starting residual is not
@@ -147,6 +148,23 @@ class TestComparisons:
         b = _fake_solution(0.05, np.zeros(21))
         with pytest.raises(ValueError):
             inter_method_difference(a, b)
+
+
+    def test_no_iterate_rejected(self):
+        eq = EquationSpec(
+            terms=(TermSpec(parse_expression("1"), FractionalOrder(0.5)),),
+            forcing=parse_expression("ln(x - 2)"),
+            rhs=parse_expression("u"),
+            interval_end=1.0,
+            ic_u0=0.0,
+        )
+        failed = solve(eq, SolverConfig(h=0.1), MethodKind.SUBSTITUTION)
+        ok = _fake_solution(0.1, np.zeros(11), MethodKind.BYPARTS)
+        with pytest.raises(ValueError, match=r"^substitution has no iterate to compare: ln.* at node 1$"):
+            compare_to_exact(failed, parse_expression("x"))
+        for a, b in ((failed, ok), (ok, failed)):
+            with pytest.raises(ValueError, match="^substitution has no iterate"):
+                inter_method_difference(a, b)
 
 
 class TestConvergenceStudy:

@@ -18,11 +18,11 @@ from fracdual.expr import evaluate, parse_expression
 from fracdual.operators import operator_for
 from fracdual.solver import (
     _BANDWIDTH,
+    DAMPING_MIN,
     MAX_GRID_STEPS,
     EquationSpec,
     ResidualDomainError,
     SolverConfig,
-    SolverDomainError,
     TermSpec,
     _newton,
     _solve_upper_banded,
@@ -349,21 +349,49 @@ class TestSolve:
         # best iterate is still a finite grid function
         assert np.isfinite(report.sol_subst.u.values).all()
 
-    def test_domain_error_every_level_raises(self):
+    def test_domain_error_at_the_start_leaves_no_iterate(self):
+        # ln(x - 2) is undefined on the whole grid, so no start can be evaluated
         eq = simple_eq(forcing="ln(x - 2)", rhs="0")
-        cfg = SolverConfig(h=0.1)
-        with pytest.raises(SolverDomainError):
-            solve(eq, cfg, method=MethodKind.SUBSTITUTION)
+        sol = solve(eq, SolverConfig(h=0.1), method=MethodKind.SUBSTITUTION)
+        assert sol.u is None and sol.residual is None
+        assert not sol.converged and sol.newton_iters == 0
+        assert sol.failure.startswith("ln") and sol.failure.endswith(" at node 1")
 
     def test_overflowing_starting_residual_is_a_domain_failure(self):
         # exp(1000*x) overflows from x = 0.71 on: node 8 at h = 0.1
         eq = simple_eq(forcing="exp(1000*x)", rhs="u")
         ws = _Workspace(eq, SolverConfig(h=0.1), MethodKind.SUBSTITUTION)
-        with pytest.raises(ResidualDomainError) as err:
-            _newton(ws, np.zeros(ws.m + 1))
-        assert err.value.node == 8
-        with pytest.raises(SolverDomainError, match="non-finite starting residual at node 8"):
-            solve(eq, SolverConfig(h=0.1), MethodKind.SUBSTITUTION)
+        message = "non-finite starting residual at node 8"
+        assert _newton(ws, np.zeros(ws.m + 1)) == (None, None, 0, message)
+        sol = solve(eq, SolverConfig(h=0.1), MethodKind.SUBSTITUTION)
+        assert (sol.u, sol.residual, sol.newton_iters, sol.failure) == (None, None, 0, message)
+
+    def test_domain_error_at_every_damping_level_keeps_the_last_iterate(self):
+        # by-parts takes 5 steps; from the 5th iterate every damped trial
+        # leaves ln's domain, so the solve ends on that iterate
+        eq = simple_eq(alpha=1.0, coeff="ln(u)", forcing="ln(u)", rhs="u^2", u0=1.0)
+        cfg = SolverConfig(h=0.1)
+        ws = _Workspace(eq, cfg, MethodKind.BYPARTS)
+        u, r, iters, failure = _newton(ws, np.ones(ws.m + 1))
+        assert (iters, failure) == (5, "expression domain error at every damping level")
+        delta = _solve_upper_banded(ws.jacobian(u, ws.residual_terms(u)[1]), -r)
+        lam = 1.0
+        while lam >= DAMPING_MIN:
+            with pytest.raises(ResidualDomainError):
+                ws.residual(u + lam * delta)
+            lam *= 0.5
+        sol = solve(eq, cfg, MethodKind.BYPARTS)
+        assert (sol.newton_iters, sol.failure) == (iters, failure)
+        assert np.array_equal(sol.u.values, u) and np.array_equal(sol.residual.values, r)
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_domain_error_in_the_jacobian_probe_keeps_the_start(self, method):
+        # sqrt(1 - u) is defined at the start u = 1, but the Jacobian's
+        # probe at u + 1e-7*(1 + |u|) is not
+        eq = simple_eq(forcing="sqrt(1 - u)", rhs="u", u0=1.0)
+        sol = solve(eq, SolverConfig(h=0.1), method)
+        assert sol.failure == "Jacobian probe: sqrt of a negative value (array index 0) at node 1"
+        assert sol.newton_iters == 0 and np.array_equal(sol.u.values, np.ones(11))
 
     @pytest.mark.parametrize("method", list(MethodKind))
     def test_linear_guess_rescues_failed_constant_guess(self, method):
@@ -371,9 +399,9 @@ class TestSolve:
         eq = simple_eq(alpha=1.2, rhs="exp(u)", du0=2.0)
         cfg = SolverConfig(h=0.02)
         ws = _Workspace(eq, cfg, method)
-        assert not _newton(ws, np.zeros(ws.m + 1))[3]
-        _u, _r, iters, ok = _newton(ws, 2.0 * ws.x)
-        assert ok
+        assert _newton(ws, np.zeros(ws.m + 1))[3] is not None
+        _u, _r, iters, failure = _newton(ws, 2.0 * ws.x)
+        assert failure is None
         sol = solve(eq, cfg, method)
         assert sol.converged
         assert sol.newton_iters == iters
@@ -431,21 +459,21 @@ class TestBandedStep:
 
     def test_singular_jacobian_is_non_convergence(self, monkeypatch):
         ws = _Workspace(simple_eq(forcing="sin(x)"), SolverConfig(h=0.1), MethodKind.BYPARTS)
-        jacobian = ws.jacobian
+        jacobian, m = ws.jacobian, ws.m
 
-        def singular(u, products):
-            columns = jacobian(u, products)
+        def singular(u, parts):
+            columns = jacobian(u, parts)
 
             def zeroed(k, l0, l1):
                 strip = columns(k, l0, l1)
-                strip[:, np.arange(l0, l1) == 5] = 0.0
+                strip[np.arange(k, m + 1) == 5] = 0.0  # row 5 of J
                 return strip
 
             return zeroed
 
         monkeypatch.setattr(ws, "jacobian", singular)
-        _u, _r, iters, ok = _newton(ws, np.zeros(ws.m + 1))
-        assert (iters, ok) == (0, False)
+        _u, _r, iters, failure = _newton(ws, np.zeros(ws.m + 1))
+        assert (iters, failure) == (0, "singular Newton step")
 
     @pytest.mark.parametrize("method", list(MethodKind))
     def test_vanishing_coefficient_is_a_singular_step(self, method):
@@ -453,12 +481,12 @@ class TestBandedStep:
         # on u, so that row of J is exactly zero
         ws = _Workspace(simple_eq(coeff="x - 0.5", forcing="sin(x)"), SolverConfig(h=0.1), method)
         u = np.zeros(ws.m + 1)
-        r, products, _scale = ws.residual_terms(u)
-        assert not ws.jacobian(u, products)(5, 0, ws.m + 1)[0].any()
+        r, parts, _scale = ws.residual_terms(u)
+        assert not ws.jacobian(u, parts)(5, 0, ws.m + 1)[0].any()
         with pytest.raises(np.linalg.LinAlgError):
-            _solve_upper_banded(ws.jacobian(u, products), -r)
-        _u, _r, iters, ok = _newton(ws, u)
-        assert (iters, ok) == (0, False)
+            _solve_upper_banded(ws.jacobian(u, parts), -r)
+        _u, _r, iters, failure = _newton(ws, u)
+        assert (iters, failure) == (0, "singular Newton step")
 
     @pytest.mark.parametrize("method", list(MethodKind))
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.3, 2.0])

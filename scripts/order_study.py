@@ -15,6 +15,7 @@ import argparse
 import math
 
 from fracdual.bench import derivative_table
+from fracdual.caputo import FractionalOrder
 from fracdual.dual import convergence_study
 
 
@@ -30,7 +31,7 @@ def main():
     print(f"{'f':<6} {'alpha':>5} {'n+1-a':>6} {'order(subst)':>13} {'order(byparts)':>15}")
     for fname in args.functions.split(","):
         for alpha in (float(a) for a in args.alphas.split(",")):
-            n = 1 if alpha < 1 else 2
+            n = FractionalOrder(alpha).n
             orders = {}
             for column, label in ((3, "subst"), (5, "byparts")):
 

@@ -5,6 +5,13 @@ reference data this solver is validated against: a fractional-derivative
 table for tan (order 0.4, step 1e-4), and two solution tables for the
 quasilinear fixtures at step 1e-3. ``reproduce`` re-runs each pinned
 computation and reports PASS/FAIL per datum.
+
+Each datum is one ``CheckResult``. Most pass when the measured value is
+within a stated tolerance of the expected one; sup errors, residuals and
+inter-method differences expect 0.0. The rest compare a verdict with the
+expected Reliable or not. ``FIGURES`` tables the figures' linear
+fixtures: which verdict each should get and which method alone is near
+the exact solution, so that either method alone may be wrong.
 """
 
 from __future__ import annotations
@@ -88,6 +95,17 @@ TABLE3_SUP_ERROR_TOL = 5e-4
 TABLE3_DIFF_TOL = 1e-6
 
 LINEAR_PROXIMITY_TOL = 2e-2
+# The figures' examples and counterexamples: fixture, expected Reliable,
+# whether the two methods must separate by ten thresholds, then each
+# error check in print order as (method label, near): near passes when the
+# method's sup error vs exact is within LINEAR_PROXIMITY_TOL ("error"),
+# not near when it is above it ("invalid").
+FIGURES = (
+    ("linear_x12", True, False, (("subst", True), ("byparts", True))),
+    ("linear_sqrt", False, True, ()),
+    ("linear_quarter", False, False, (("byparts", True), ("substitution", False))),
+    ("linear_hundredth", False, False, (("substitution", True), ("byparts", False))),
+)
 
 FIXTURES = (
     "linear_x12",
@@ -151,8 +169,9 @@ def derivative_table(profile_name: str, alpha: float, h: float, points):
         if abs(m * h - x) > 1e-8 * max(1.0, m):
             raise ValueError(f"point {x} is not on the step-{h} grid")
         xs = np.arange(m + 1) * h
-        gn = np.asarray(profile.derivative(order.n, xs), dtype=float)
-        gp = np.asarray(profile.derivative(order.n + 1, xs), dtype=float)
+        with np.errstate(over="ignore"):  # an overflowing sample is inf, and its quadrature nan
+            gn = np.asarray(profile.derivative(order.n, xs), dtype=float)
+            gp = np.asarray(profile.derivative(order.n + 1, xs), dtype=float)
         sub = caputo_substitution(GridFunction(h, gn), order, m) if np.isfinite(gn).all() else float("nan")
         if np.isfinite(gn).all() and np.isfinite(gp[: max(m, 1)]).all():
             byp = caputo_byparts(float(gn[0]), GridFunction(h, gp), order, m)
@@ -163,47 +182,46 @@ def derivative_table(profile_name: str, alpha: float, h: float, points):
     return rows
 
 
-def run_table1() -> list[CheckResult]:
-    points = [row[0] for row in TABLE1]
-    computed = derivative_table("tan", TABLE1_ALPHA, TABLE1_H, points)
-    checks = []
-    for (x, _tay, sub_ref, _es, byp_ref, _eb), row in zip(TABLE1, computed):
-        checks.append(
-            CheckResult(f"table1 substitution x={x}", row[2], sub_ref, 5e-8, abs(row[2] - sub_ref) <= 5e-8)
-        )
-        checks.append(
-            CheckResult(f"table1 byparts x={x}", row[4], byp_ref, 5e-8, abs(row[4] - byp_ref) <= 5e-8)
-        )
-    return checks
+def _within(name: str, measured: float, expected: float, tol: float) -> CheckResult:
+    """Passes when |measured - expected| <= tol; sup errors and diffs expect 0.0."""
+    return CheckResult(name, measured, expected, tol, abs(measured - expected) <= tol)
+
+
+def _verdict(name: str, report, reliable: bool) -> CheckResult:
+    expected = "Reliable" if reliable else "not Reliable"
+    return CheckResult(name, str(report.verdict), expected, None, report.verdict.reliable == reliable)
+
+
+def _methods(report):
+    """(label, solution) for each method of a dual report, in print order."""
+    return (("byparts", report.sol_byparts), ("substitution", report.sol_subst))
 
 
 def _dual_report(fixture: str):
     problem = load_fixture(fixture)
-    cfg = problem.config()
-    return problem, dual_solve(problem.equation, cfg, threshold=problem.threshold)
+    return problem, dual_solve(problem.equation, problem.config(), threshold=problem.threshold)
+
+
+def run_table1() -> list[CheckResult]:
+    computed = derivative_table("tan", TABLE1_ALPHA, TABLE1_H, [row[0] for row in TABLE1])
+    checks = []
+    for (x, _tay, sub_ref, _es, byp_ref, _eb), row in zip(TABLE1, computed):
+        checks.append(_within(f"table1 substitution x={x}", row[2], sub_ref, 5e-8))
+        checks.append(_within(f"table1 byparts x={x}", row[4], byp_ref, 5e-8))
+    return checks
 
 
 def run_table2() -> list[CheckResult]:
     _problem, report = _dual_report("quasilinear_tan")
     h = report.sol_subst.u.h
     checks = []
-    for x, byp_ref, sub_ref in TABLE2:
-        k = int(round(x / h))
-        for label, sol, ref in (
-            ("byparts", report.sol_byparts, byp_ref),
-            ("substitution", report.sol_subst, sub_ref),
-        ):
-            v = float(sol.u.values[k])
-            checks.append(
-                CheckResult(
-                    f"table2 {label} x={x}", v, ref, TABLE2_VALUE_TOL, abs(v - ref) <= TABLE2_VALUE_TOL
-                )
-            )
-    for label, sol in (("byparts", report.sol_byparts), ("substitution", report.sol_subst)):
+    for x, *refs in TABLE2:
+        for (label, sol), ref in zip(_methods(report), refs):
+            v = float(sol.u.values[int(round(x / h))])
+            checks.append(_within(f"table2 {label} x={x}", v, ref, TABLE2_VALUE_TOL))
+    for label, sol in _methods(report):
         sup = float(np.max(np.abs(sol.residual.values)))
-        checks.append(
-            CheckResult(f"table2 {label} residual sup", sup, 0.0, TABLE2_RESIDUAL_TOL, sup <= TABLE2_RESIDUAL_TOL)
-        )
+        checks.append(_within(f"table2 {label} residual sup", sup, 0.0, TABLE2_RESIDUAL_TOL))
     return checks
 
 
@@ -211,85 +229,32 @@ def run_table3() -> list[CheckResult]:
     problem, report = _dual_report("quasilinear_tan_exact")
     h = report.sol_subst.u.h
     checks = []
-    for label, sol in (("byparts", report.sol_byparts), ("substitution", report.sol_subst)):
-        err = compare_to_exact(sol, problem.exact)
-        checks.append(
-            CheckResult(
-                f"table3 {label} sup error vs exact",
-                err.sup,
-                0.0,
-                TABLE3_SUP_ERROR_TOL,
-                err.sup <= TABLE3_SUP_ERROR_TOL,
-            )
-        )
+    for label, sol in _methods(report):
+        err = compare_to_exact(sol, problem.exact).sup
+        checks.append(_within(f"table3 {label} sup error vs exact", err, 0.0, TABLE3_SUP_ERROR_TOL))
     diff = inter_method_difference(report.sol_subst, report.sol_byparts)
     for x, *_ in TABLE3:
-        k = int(round(x / h))
-        d = float(diff.errors[k])
-        checks.append(CheckResult(f"table3 diff x={x}", d, 0.0, TABLE3_DIFF_TOL, d <= TABLE3_DIFF_TOL))
-    checks.append(
-        CheckResult(
-            "table3 verdict",
-            str(report.verdict),
-            "Reliable",
-            None,
-            report.verdict.reliable,
-        )
-    )
+        checks.append(_within(f"table3 diff x={x}", float(diff.errors[int(round(x / h))]), 0.0, TABLE3_DIFF_TOL))
+    checks.append(_verdict("table3 verdict", report, True))
     return checks
 
 
 def run_figures() -> list[CheckResult]:
     checks = []
-
-    def classify(fixture):
+    for fixture, reliable, separated, errors in FIGURES:
         problem, report = _dual_report(fixture)
-        err_s = compare_to_exact(report.sol_subst, problem.exact).sup
-        err_b = compare_to_exact(report.sol_byparts, problem.exact).sup
-        return report, err_s, err_b
-
-    report, err_s, err_b = classify("linear_x12")
-    checks.append(CheckResult("figures linear_x12 verdict", str(report.verdict), "Reliable", None, report.verdict.reliable))
-    checks.append(CheckResult("figures linear_x12 subst error", err_s, 0.0, LINEAR_PROXIMITY_TOL, err_s <= LINEAR_PROXIMITY_TOL))
-    checks.append(CheckResult("figures linear_x12 byparts error", err_b, 0.0, LINEAR_PROXIMITY_TOL, err_b <= LINEAR_PROXIMITY_TOL))
-
-    report, err_s, err_b = classify("linear_sqrt")
-    checks.append(
-        CheckResult("figures linear_sqrt verdict", str(report.verdict), "not Reliable", None, not report.verdict.reliable)
-    )
-    checks.append(
-        CheckResult(
-            "figures linear_sqrt separation (deviation / 10*threshold)",
-            report.deviation,
-            10.0 * report.threshold,
-            None,
-            report.deviation >= 10.0 * report.threshold,
-        )
-    )
-
-    report, err_s, err_b = classify("linear_quarter")
-    checks.append(
-        CheckResult("figures linear_quarter verdict", str(report.verdict), "not Reliable", None, not report.verdict.reliable)
-    )
-    checks.append(
-        CheckResult("figures linear_quarter byparts error", err_b, 0.0, LINEAR_PROXIMITY_TOL, err_b <= LINEAR_PROXIMITY_TOL)
-    )
-    checks.append(
-        CheckResult(
-            "figures linear_quarter substitution invalid", err_s, 0.0, None, err_s > LINEAR_PROXIMITY_TOL
-        )
-    )
-
-    report, err_s, err_b = classify("linear_hundredth")
-    checks.append(
-        CheckResult("figures linear_hundredth verdict", str(report.verdict), "not Reliable", None, not report.verdict.reliable)
-    )
-    checks.append(
-        CheckResult("figures linear_hundredth substitution error", err_s, 0.0, LINEAR_PROXIMITY_TOL, err_s <= LINEAR_PROXIMITY_TOL)
-    )
-    checks.append(
-        CheckResult("figures linear_hundredth byparts invalid", err_b, 0.0, None, err_b > LINEAR_PROXIMITY_TOL)
-    )
+        name = f"figures {fixture}"
+        checks.append(_verdict(f"{name} verdict", report, reliable))
+        if separated:
+            dev, bar = report.deviation, 10.0 * report.threshold
+            checks.append(CheckResult(f"{name} separation (deviation / 10*threshold)", dev, bar, None, dev >= bar))
+        for label, near in errors:
+            sol = report.sol_subst if label.startswith("subst") else report.sol_byparts
+            err = compare_to_exact(sol, problem.exact).sup
+            if near:
+                checks.append(_within(f"{name} {label} error", err, 0.0, LINEAR_PROXIMITY_TOL))
+            else:
+                checks.append(CheckResult(f"{name} {label} invalid", err, 0.0, None, err > LINEAR_PROXIMITY_TOL))
     return checks
 
 

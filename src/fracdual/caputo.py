@@ -50,8 +50,8 @@ class MethodKind(Enum):
     BYPARTS = "byparts"
 
 
-class TaylorNonConvergence(ArithmeticError):
-    """Series evaluation hit the term cap without the stop rule firing."""
+class TaylorNonConvergence(ValueError):
+    """Series evaluation overflowed, or hit the term cap without the stop rule firing."""
 
 
 @dataclass(frozen=True)

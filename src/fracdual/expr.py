@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .special_functions import GammaPoleError, SpecialFunctionDomainError, gamma
+from .special_functions import SpecialFunctionDomainError, gamma
 
 __all__ = [
     "ExpressionTree",
@@ -46,6 +46,10 @@ __all__ = [
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _TAN_COS_GUARD = 1e-12
+# Most levels of parentheses, calls and "^" right operands open at once.
+# A level costs the parser up to five stack frames, so this keeps a parse
+# well inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -63,14 +67,14 @@ class UnknownIdentifierError(ParseError):
 class EvalDomainError(ValueError):
     """Evaluation left a function's real domain.
 
-    ``index`` is the position of the first offending entry when the
-    evaluation was vectorized, else None.
+    ``reason`` says how; ``index`` is the position of the first offending
+    entry when the evaluation was vectorized, else None.
     """
 
-    def __init__(self, message: str, index=None):
-        if index is not None:
-            message = f"{message} (array index {index})"
-        super().__init__(message)
+    def __init__(self, reason: str, index=None):
+        where = f" (array index {index})" if index is not None else ""
+        super().__init__(f"{reason}{where}")
+        self.reason = reason
         self.index = index
 
 
@@ -138,6 +142,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -152,6 +157,15 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}", offset)
         return self.advance()
+
+    def nested(self, rule, offset: int) -> ExpressionTree:
+        """``rule()`` one level deeper, for the "(", call or "^" at ``offset``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", offset)
+        self.depth += 1
+        node = rule()
+        self.depth -= 1
+        return node
 
     def parse(self) -> ExpressionTree:
         tree = self.expr()
@@ -189,10 +203,10 @@ class _Parser:
 
     def power(self) -> ExpressionTree:
         base = self.atom()
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return Binary("^", base, self.factor())
+            return Binary("^", base, self.nested(self.factor, offset))
         return base
 
     def atom(self) -> ExpressionTree:
@@ -205,13 +219,13 @@ class _Parser:
             if value in _CONSTANTS:
                 return Const(_CONSTANTS[value])
             if value in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
+                paren = self.expect_op("(")[2]
+                arg = self.nested(self.expr, paren)
                 self.expect_op(")")
                 return Call(value, arg)
             raise UnknownIdentifierError(f"unknown identifier {value!r}", offset)
         if kind == "op" and value == "(":
-            node = self.expr()
+            node = self.nested(self.expr, offset)
             self.expect_op(")")
             return node
         raise ParseError(f"expected a value, got {value!r}" if value else "unexpected end of input", offset)
@@ -233,8 +247,8 @@ def _check(mask, message):
 def _gamma(arg):
     try:
         return gamma(arg)
-    except (GammaPoleError, SpecialFunctionDomainError) as exc:
-        raise EvalDomainError(str(exc)) from exc
+    except SpecialFunctionDomainError as exc:
+        raise EvalDomainError(str(exc), exc.index) from exc
 
 
 # The grammar's functions: the parser accepts exactly these names.

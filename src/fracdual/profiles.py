@@ -57,30 +57,12 @@ def _tan_profile() -> DerivativeProfile:
     )
 
 
-def _cycle_profile(name, fns, coeffs):
-    def deriv(d, x):
-        return fns[d % 4](x)
-
-    return DerivativeProfile(name, deriv, lambda ordr, x: caputo_taylor(coeffs, ordr, x))
-
-
-def _sin_profile():
-    coeffs = [0.0, 1.0, 0.0, -1.0] * (_SERIES_TERMS // 4 + 1)
-    return _cycle_profile("sin", (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)), coeffs[: _SERIES_TERMS + 1])
-
-
-def _cos_profile():
-    coeffs = [1.0, 0.0, -1.0, 0.0] * (_SERIES_TERMS // 4 + 1)
-    return _cycle_profile("cos", (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin), coeffs[: _SERIES_TERMS + 1])
-
-
-def _exp_profile():
-    coeffs = [1.0] * (_SERIES_TERMS + 1)
-
-    def deriv(d, x):
-        return np.exp(x)
-
-    return DerivativeProfile("exp", deriv, lambda ordr, x: caputo_taylor(coeffs, ordr, x))
+def _cycle_profile(name, fns):
+    """f whose d-th derivative is fns[d % 4]; the series takes f^(k)(0) from them."""
+    coeffs = [float(fns[k % 4](0.0)) for k in range(_SERIES_TERMS + 1)]
+    return DerivativeProfile(
+        name, lambda d, x: fns[d % 4](x), lambda ordr, x: caputo_taylor(coeffs, ordr, x)
+    )
 
 
 def _const1_profile():
@@ -115,9 +97,9 @@ def _power_profile(beta: float) -> DerivativeProfile:
 
 _NAMED = {
     "tan": _tan_profile,
-    "sin": _sin_profile,
-    "cos": _cos_profile,
-    "exp": _exp_profile,
+    "sin": lambda: _cycle_profile("sin", (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))),
+    "cos": lambda: _cycle_profile("cos", (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin)),
+    "exp": lambda: _cycle_profile("exp", (np.exp,) * 4),
     "const1": _const1_profile,
 }
 

@@ -158,7 +158,7 @@ def _tree_eval(tree, x, u, node_offset: int) -> np.ndarray:
         return evaluate(tree, x, u)
     except EvalDomainError as exc:
         node = None if exc.index is None else exc.index + node_offset
-        raise ResidualDomainError(str(exc), node) from exc
+        raise ResidualDomainError(exc.reason, node) from exc
 
 
 class _Workspace:

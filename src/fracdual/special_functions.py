@@ -18,12 +18,20 @@ import numpy as np
 __all__ = ["gamma", "lgamma", "beta", "GammaPoleError", "SpecialFunctionDomainError"]
 
 
-class GammaPoleError(ValueError):
-    """gamma evaluated at a non-positive integer."""
-
-
 class SpecialFunctionDomainError(ValueError):
-    """Argument outside the function's real domain (NaN, or beta with a <= 0)."""
+    """Argument outside the function's real domain (NaN, a gamma pole, or beta with a <= 0).
+
+    ``index`` is the flat position of the first offending entry of an
+    array argument, when the function names it, else None.
+    """
+
+    def __init__(self, message: str, index=None):
+        super().__init__(message)
+        self.index = index
+
+
+class GammaPoleError(SpecialFunctionDomainError):
+    """gamma evaluated at a non-positive integer."""
 
 
 # Lanczos coefficients for g = 607/128, n = 15 (Godfrey's set, standard in
@@ -87,7 +95,8 @@ def gamma(x):
         raise SpecialFunctionDomainError("gamma: NaN argument")
     pole = (arr <= 0.0) & (arr == np.floor(arr))
     if pole.any():
-        raise GammaPoleError(f"gamma: pole at {arr[pole].flat[0]}")
+        first = int(np.flatnonzero(pole)[0])
+        raise GammaPoleError(f"gamma: pole at {arr.flat[first]}", first if arr.ndim else None)
     safe = np.where(arr >= 0.5, arr, 1.0 - arr)
     with np.errstate(all="ignore"):
         # sin(pi x) = (-1)^n sin(pi (x - n)) with n = round(x): x - n is

@@ -149,7 +149,7 @@ def test_jacobian_probe_domain_error_is_a_failure_not_an_error(tmp_path):
     assert text.split("\n")[-2].startswith("verdict=MethodFailed(substitution,byparts) deviation=0 ")
     code, text = run(["solve", "--problem", str(path), "--method", "byparts"], tmp_path / "s.csv")
     assert code == 0
-    reason = "Jacobian probe: sqrt of a negative value (array index 0) at node 1"
+    reason = "Jacobian probe: sqrt of a negative value at node 1"
     assert text.split("\n")[-2] == f"converged=false iterations=0 reason={reason}"
 
 
@@ -250,6 +250,19 @@ def test_bad_problem_file_exits_2(tmp_path, capsys):
     assert "error: problem-file:" in capsys.readouterr().err
 
 
+def test_deep_nesting_exits_2(tmp_path, capsys):
+    # 200 nested parentheses would overflow the parser's stack; the cap stops the parse at level 101
+    fixture = resources.files("fracdual.fixtures").joinpath("linear_x12.prob").read_text("utf-8")
+    text = re.sub(r'^forcing = "(.*)"$', lambda m: f'forcing = "{"(" * 200}{m[1]}{")" * 200}"', fixture, flags=re.M)
+    path = tmp_path / "deep.prob"
+    path.write_text(text, encoding="utf-8")
+    code = main(["solve", "--problem", str(path), "--method", "dual", "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    message = "line 5: bad expression for forcing: nesting deeper than 100 levels (offset 100)"
+    assert capsys.readouterr().err == f"error: problem-file: {path}: {message}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_bad_threshold_exits_2(tmp_path, capsys, value):
     path = tmp_path / "threshold.prob"
@@ -315,6 +328,11 @@ def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
             "derivative --f x^1e300 --alpha 0.4 --h 0.01 --points 0.5",
             "exponent of 'x^1e300' overflows the oracle's gamma(beta + 1), got 1e+300",
         ),
+        # the samples overflow to inf, and the series oracle's terms overflow
+        (
+            "derivative --f exp --alpha 0.4 --h 100000 --points 1e10",
+            "series term overflow at k=32, x=10000000000.0",
+        ),
     ],
     ids=[
         "zero_step",
@@ -328,6 +346,7 @@ def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
         "infinite_exponent",
         "overflowing_exponent",
         "huge_exponent",
+        "series_overflow",
     ],
 )
 def test_bad_numeric_input_exits_2(tmp_path, capsys, args, message):

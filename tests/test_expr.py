@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fracdual.expr import (
     _FUNCTIONS,
+    MAX_NESTING,
     Binary,
     Call,
     Const,
@@ -101,10 +102,31 @@ def test_domain_errors(text, kwargs):
 
 
 def test_domain_error_carries_array_index():
-    tree = parse_expression("ln(x)")
-    with pytest.raises(EvalDomainError) as err:
-        evaluate(tree, np.array([1.0, 2.0, -3.0, 4.0]), 0.0)
-    assert err.value.index == 2
+    x = np.array([1.0, 2.0, -3.0, 4.0])
+    for text, reason in (("ln(x)", "ln of a non-positive value"), ("gamma(x)", "gamma: pole at -3.0")):
+        with pytest.raises(EvalDomainError) as err:
+            evaluate(parse_expression(text), x, 0.0)
+        assert (err.value.reason, err.value.index) == (reason, 2)
+        assert str(err.value) == f"{reason} (array index 2)"
+
+
+@pytest.mark.parametrize(
+    "nest, offset",
+    [
+        (lambda n: "(" * n + "x" + ")" * n, MAX_NESTING),
+        (lambda n: "sin(" * n + "x" + ")" * n, 4 * MAX_NESTING + 3),
+        (lambda n: "x^" * n + "x", 2 * MAX_NESTING + 1),
+    ],
+    ids=["parentheses", "calls", "powers"],
+)
+def test_nesting_is_capped(nest, offset):
+    # offset: the "(" or "^" that opens level MAX_NESTING + 1
+    tree = parse_expression(nest(MAX_NESTING))
+    assert parse_expression(to_string(tree)) == tree
+    assert math.isfinite(evaluate(tree, 0.5, 0.5))
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels") as err:
+        parse_expression(nest(MAX_NESTING + 1))
+    assert err.value.offset == offset
 
 
 def test_vectorized_matches_scalar():

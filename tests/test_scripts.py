@@ -34,3 +34,10 @@ def test_script_prints_one_data_row(name, args, first_field):
     assert proc.returncode == 0, proc.stderr
     rows = [line for line in proc.stdout.splitlines()[1:] if line and not line.startswith("-")]
     assert [row.split()[0] for row in rows] == [first_field]
+
+
+def test_order_study_takes_n_from_the_order():
+    # FractionalOrder deviates an integer order just below it: alpha = 1 has n = 1
+    proc = run_script("order_study.py", "--functions", "exp", "--alphas", "1.0,2.5", "--h-list", "4e-3,2e-3,1e-3")
+    assert proc.returncode == 0, proc.stderr
+    assert [row.split()[:3] for row in proc.stdout.splitlines()[1:]] == [["exp", "1.00", "1.00"], ["exp", "2.50", "1.50"]]

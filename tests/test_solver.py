@@ -357,6 +357,19 @@ class TestSolve:
         assert not sol.converged and sol.newton_iters == 0
         assert sol.failure.startswith("ln") and sol.failure.endswith(" at node 1")
 
+    @pytest.mark.parametrize(
+        "forcing, failure",
+        [
+            ("gamma(u)", "gamma: pole at 0.0 at node 1"),
+            ("gamma(x - 0.5)", "gamma: pole at 0.0 at node 5"),
+            ("ln(u)", "ln of a non-positive value at node 1"),
+        ],
+    )
+    def test_domain_failure_names_one_node(self, forcing, failure):
+        # x = 0.5 is node 5 at h = 0.1; nodes count from x = 0
+        sol = solve(simple_eq(forcing=forcing, rhs="u"), SolverConfig(h=0.1), MethodKind.SUBSTITUTION)
+        assert sol.u is None and sol.failure == failure
+
     def test_overflowing_starting_residual_is_a_domain_failure(self):
         # exp(1000*x) overflows from x = 0.71 on: node 8 at h = 0.1
         eq = simple_eq(forcing="exp(1000*x)", rhs="u")
@@ -390,7 +403,7 @@ class TestSolve:
         # probe at u + 1e-7*(1 + |u|) is not
         eq = simple_eq(forcing="sqrt(1 - u)", rhs="u", u0=1.0)
         sol = solve(eq, SolverConfig(h=0.1), method)
-        assert sol.failure == "Jacobian probe: sqrt of a negative value (array index 0) at node 1"
+        assert sol.failure == "Jacobian probe: sqrt of a negative value at node 1"
         assert sol.newton_iters == 0 and np.array_equal(sol.u.values, np.ones(11))
 
     @pytest.mark.parametrize("method", list(MethodKind))

@@ -9,10 +9,14 @@ agreement threshold of the dual protocol is calibrated against.
 
 Usage:
     python scripts/order_study.py [--x 0.3] [--h-list 4e-4,2e-4,1e-4]
+
+A function or order the rules cannot take ends the sweep after the rows
+already printed, with a one-line error and exit status 2.
 """
 
 import argparse
 import math
+import sys
 
 from fracdual.bench import derivative_table
 from fracdual.caputo import FractionalOrder
@@ -49,4 +53,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValueError as exc:  # a function or order the rules cannot take
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -18,9 +18,9 @@ convolved with B's central row. That holds outside the ``_EDGE`` columns
 at each end, which assembly computes exactly as sums of shifted columns
 of L (both ends together, so small grids where the ends overlap come out
 whole). A ``ToeplitzOperator`` keeps just these O(m) numbers: it
-multiplies by correlation, and writes dense columns only for the
-Jacobian strip a Newton step is factoring. Nothing is cached: each solve
-builds its operators once and keeps them for its Newton iterations only.
+multiplies by correlation, writes dense only the small blocks a Newton
+step factors, and multiplies the strips below them through one window of
+the kernel. Nothing is cached: each solve builds its operators once.
 """
 
 from __future__ import annotations
@@ -67,12 +67,34 @@ class ToeplitzOperator:
         d[self.cols] = self.edge[self.cols, np.arange(self.cols.size)]
         return d
 
-    def columns(self, k0: int, l0: int, l1: int) -> np.ndarray:
-        """Dense A[k0:, l0:l1], a new array in column-major order."""
-        block = np.lib.stride_tricks.sliding_window_view(self.rev, self.edge.shape[0])[::-1][k0:, l0:l1].copy("F")
+    def _kernel(self, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+        """A[k][:, l] with every column Toeplitz, for index arrays k and l."""
+        return self.rev[self.edge.shape[0] - 1 - k[:, None] + l]
+
+    def block(self, k0: int, k1: int, l0: int, l1: int) -> np.ndarray:
+        """Dense A[k0:k1, l0:l1], a new array."""
+        block = self._kernel(np.arange(k0, k1), np.arange(l0, l1))
         inside = (self.cols >= l0) & (self.cols < l1)
-        block[:, self.cols[inside] - l0] = self.edge[k0:, inside]
+        block[:, self.cols[inside] - l0] = self.edge[k0:k1, inside]
         return block
+
+    def strip_product(self, w: int):
+        """The map (i, W) -> W @ A[i:, i - w : i].T, for w <= i <= m + 1 and W of w columns.
+
+        For every i that strip is the top of X[a, c] = rev[m - w - a + c], built
+        once here, apart from the ``cols`` it reaches: those add their difference."""
+        n = self.edge.shape[0]
+        XT = self._kernel(np.arange(w, n), np.arange(w)).T.copy()
+
+        def product(i: int, W: np.ndarray) -> np.ndarray:
+            out = W @ XT[:, : n - i]
+            q = np.flatnonzero((self.cols >= i - w) & (self.cols < i))
+            if q.size:
+                j = self.cols[q]
+                out += W[:, j - i + w] @ (self.edge[i:, q] - self._kernel(np.arange(i, n), j)).T
+            return out
+
+        return product
 
 
 def fractional_operator(method: MethodKind, effective: float, n: int, h: float, m: int) -> ToeplitzOperator:

@@ -6,11 +6,12 @@ condition, then one collocation row per remaining node, with the
 fractional derivatives represented by the Toeplitz operators of the
 chosen method. The square nonlinear system is solved globally (all nodes
 at once) by damped Newton with a forward-difference Jacobian J, each step
-an O(m^2) blocked QR of banded J^T, forward in x from column strips of J.
+an O(m^2) blocked QR of banded J^T, forward in x, that forms J only in
+blocks at the diagonal and reaches the rest through 4-column products.
 One pass over the terms gives the residual, the products the Jacobian
-reuses and the rounding floor. A solve holds O(m) per term and O(m *
-_BLOCK) for the step. The step h is the only setting: Newton's are the
-constants below, so both methods run under one solver.
+reuses and the rounding floor. A solve holds O(m * _BLOCK) per term. The
+step h is the only setting: Newton's are the constants below, so both
+methods run under one solver.
 """
 
 from __future__ import annotations
@@ -173,6 +174,8 @@ class _Workspace:
         self.x = np.arange(m + 1) * h
         self.n_ic = eq.n_ic
         self.ops = [operator_for(method, t.order, h, m) for t in eq.terms]
+        self.abs_ops = [abs(A) for A in self.ops]
+        self.strip_products = [A.strip_product(_BLOCK) for A in self.ops]
         self.xc = self.x[self.n_ic :]
         # u(0) and u'(0) rows on u[:3], divided by the denominator after the product
         fwd = STENCILS[(1, "forward")]
@@ -200,9 +203,9 @@ class _Workspace:
         with np.errstate(over="ignore", invalid="ignore"):
             products = [A @ u for A in self.ops]
             acc, scale = f - g, np.abs(f) + np.abs(g)
-            for K, A, Au in zip(Ks, self.ops, products):
+            for K, absA, Au in zip(Ks, self.abs_ops, products):
                 acc = acc + K * Au[nic:]
-                scale = scale + np.abs(K) * (abs(A) @ au)[nic:]
+                scale = scale + np.abs(K) * (absA @ au)[nic:]
         r[nic:] = acc
         return r, (f, g, Ks, products), max(float(np.max(scale)), float(np.max(ic_scale)))
 
@@ -211,8 +214,9 @@ class _Workspace:
 
     def jacobian(self, u: np.ndarray, parts: tuple):
         """Forward-difference Jacobian J, column step 1e-7*(1+|u_j|), as the
-        accessor columns(k, l0, l1) = J[k:, l0:l1]: a new array per call, in
-        column-major order so that the step reads J^T by rows.
+        accessors block(k0, k1, l0, l1) = J[k0:k1, l0:l1], a new array, and
+        below(i, W) = W @ J[i:, i - _BLOCK : i].T (i >= _BLOCK), formed from
+        the operators' windows without writing that strip of J.
 
         Expression trees act pointwise, so the finite-difference column j
         differs from the linear part only in its diagonal entry; the
@@ -232,48 +236,52 @@ class _Workspace:
         ic = np.zeros((nic, m + 1))
         ic[:, :3] = self.ic_rows / self.ic_denom[:, None]
 
-        def columns(k: int, l0: int, l1: int) -> np.ndarray:
-            blocks = [A.columns(k, l0, l1) for A in self.ops]
-            for K, block in zip(Ks, blocks):
-                block *= K[k:, None]
-            strip = blocks[0]
-            for block in blocks[1:]:
-                strip += block
-            i = np.arange(max(k, l0), min(l1, m + 1))
-            strip[i - k, i - l0] += diag[i]
-            strip[: max(nic - k, 0)] = ic[k:, l0:l1]
-            return strip
+        def block(k0: int, k1: int, l0: int, l1: int) -> np.ndarray:
+            out = sum(K[k0:k1, None] * A.block(k0, k1, l0, l1) for K, A in zip(Ks, self.ops))
+            i = np.arange(max(k0, l0), min(k1, l1))
+            out[i - k0, i - l0] += diag[i]
+            out[: max(nic - k0, 0)] = ic[k0:k1, l0:l1]
+            return out
 
-        return columns
+        def below(i: int, W: np.ndarray) -> np.ndarray:
+            return sum(K[i:] * product(i, W) for K, product in zip(Ks, self.strip_products))
+
+        return block, below
 
 
-def _solve_upper_banded(columns, r: np.ndarray) -> np.ndarray:
-    """x with J x = r, for J[i, j] = 0 when j > i + _BANDWIDTH, given
-    columns(k, l0, l1) = J[k:, l0:l1] as an array the step may write over.
+def _solve_upper_banded(block, below, r: np.ndarray) -> np.ndarray:
+    """x with J x = r, for J[i, j] = 0 when j > i + _BANDWIDTH, given J by
+    the accessors of ``_Workspace.jacobian``; ``block`` may be written over.
 
     J^T has lower bandwidth _BANDWIDTH, so the Householder QR of a panel
     of its _BLOCK columns spans _BANDWIDTH more rows. In J's terms, panel
-    k's Q turns the strip J[k:, k:e + _BANDWIDTH] into columns k..e-1 of
-    the lower triangular L = J Q, plus _BANDWIDTH columns carried to the
-    next panel. The forward substitution L z = r runs alongside and uses
-    each column of L once, so only the Qs are kept, and x = Q z applies
-    them in reverse. A zero row of J leaves a zero on L's diagonal and
-    raises LinAlgError.
+    k's Q turns columns k..f-1 of J, f = e + _BANDWIDTH, into columns
+    k..e-1 of the lower triangular L = J Q, plus _BANDWIDTH columns carried
+    to the next panel. The forward substitution L z = r runs alongside, so
+    below row e it needs only the z-weighted sum and the carried columns of
+    J[:, k:f] Q: from ``block`` down to row f, then from the carried columns
+    and ``below`` (Golub & Van Loan, Matrix Computations, 5.2, without the
+    trailing matrix). Only the Qs are kept, and x = Q z applies them in
+    reverse. A zero row of J leaves a zero on L's diagonal: LinAlgError.
     """
     n = r.size
     z, acc, Qs = np.empty(n), np.zeros(n), []  # acc[k:] = L[k:, :k] @ z[:k]
-    carried = np.empty((0, n))  # L[k:, k:k + _BANDWIDTH]^T
+    carried = block(0, n, 0, _BANDWIDTH).T  # L[k:, k:k + _BANDWIDTH]^T
     for k in range(0, n, _BLOCK):
         e = min(k + _BLOCK, n)
-        T = columns(k, k, min(e + _BANDWIDTH, n)).T
-        T[: len(carried)] = carried
+        f = min(e + _BANDWIDTH, n)
+        T = block(k, f, k, f).T
+        T[: len(carried)] = carried[:, : f - k]
         Q, R = np.linalg.qr(T[:, : e - k], mode="complete")
         # L[k:e, k:e] = R^T, solved reversed: upper triangular, so a zero
         # on its diagonal stays an exact zero pivot
         z[k:e] = np.linalg.solve(R[: e - k].T[::-1, ::-1], (r[k:e] - acc[k:e])[::-1])[::-1]
-        LT = Q.T @ T[:, e - k :]
-        acc[e:] += z[k:e] @ LT[: e - k]
-        carried = LT[e - k :]
+        W = np.vstack([Q[:, : e - k] @ z[k:e], Q[:, e - k :].T])
+        LT = W @ T[:, e - k :]  # (J[e:, k:f] @ W^T)^T, rows e..f-1, then the rows below
+        if f < n:
+            LT = np.hstack([LT, W[:, :_BANDWIDTH] @ carried[:, f - k :] + below(f, W[:, _BANDWIDTH:])])
+        acc[e:] += LT[0]
+        carried = LT[1:]
         Qs.append(Q)
     for k, Q in zip(reversed(range(0, n, _BLOCK)), reversed(Qs)):
         z[k : k + len(Q)] = Q @ z[k : k + len(Q)]
@@ -319,7 +327,7 @@ def _newton(ws: _Workspace, u0: np.ndarray):
         if _converged(r, u, scale):
             return u, r, iters, None
         try:
-            delta = _solve_upper_banded(ws.jacobian(u, parts), -r)
+            delta = _solve_upper_banded(*ws.jacobian(u, parts), -r)
         except ResidualDomainError as exc:  # the probe at u + eps left the domain
             return u, r, iters, f"Jacobian probe: {exc}"
         except np.linalg.LinAlgError:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracdual.bench import derivative_table
@@ -281,6 +281,10 @@ def _problem_texts(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_problem_texts())
+# a 9-point grid, narrower than one Newton panel of 32 columns
+@example(
+    'term.0.coeff = "x*u + 1"\nterm.0.alpha = 0.5\nforcing = "sin(x)"\nrhs = "u^2"\nT = 1.0\nh = 0.125\nic.u0 = 0.0\n'
+)
 def test_dual_solve_reports_on_any_parsed_problem(text):
     problem = parse_problem_text(text)
     report = dual_solve(problem.equation, problem.config())

@@ -62,14 +62,25 @@ def test_matches_dense_product(method, alpha, h, m):
     o = FractionalOrder(alpha)
     want = dense_operator(method, o, h, m)
     op = operator_for(method, o, h, m)
-    got = op.columns(0, 0, m + 1)
+    got = op.block(0, m + 1, 0, m + 1)
     assert got.shape == (m + 1, m + 1)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # partial blocks: interior, cutting the leading and the trailing edge columns
-    for k0, l0, l1 in ((m // 2, 3, m - 2), (1, 4, 9), (m - 4, m - 8, m + 1), (m, 0, m + 1)):
-        block = op.columns(k0, l0, l1)
-        assert block.shape == want[k0:, l0:l1].shape
-        assert np.max(np.abs(block - want[k0:, l0:l1])) <= 1e-12 * np.max(np.abs(want))
+    n = m + 1
+    for k0, k1, l0, l1 in ((m // 2, n, 3, m - 2), (1, 6, 4, 9), (m - 4, n, m - 8, n), (m, n, 0, n)):
+        block = op.block(k0, k1, l0, l1)
+        assert block.shape == want[k0:k1, l0:l1].shape
+        assert np.max(np.abs(block - want[k0:k1, l0:l1])) <= 1e-12 * np.max(np.abs(want))
+    # the strips left of the diagonal at row i that the Newton step multiplies,
+    # reaching the leading edge columns, the interior and the trailing ones
+    W = np.random.default_rng(m).normal(size=(4, 32))
+    for w in (6, 32):
+        product = op.strip_product(w)
+        for i in sorted({w, (m + w) // 2, m - 2, m + 1} & set(range(w, m + 2))):
+            got = product(i, W[:, :w])
+            assert got.shape == (4, m + 1 - i)
+            bound = 1e-12 * np.max(np.abs(want)) * np.sum(np.abs(W[:, :w]), axis=1, keepdims=True)
+            assert np.all(np.abs(got - W[:, :w] @ want[i:, i - w : i].T) <= bound)
     # the products the solver takes, on a signed vector: entries are summed
     # in another order, so compare against the absolute-value sums
     u = np.random.default_rng(m).normal(size=m + 1)
@@ -142,8 +153,8 @@ def test_byparts_tracks_substitution_on_smooth_data():
     h, m = 1e-3, 1000
     x = np.arange(m + 1) * h
     u = -0.28 * x**2 + 0.05 * x**3
-    S = operator_for(MethodKind.SUBSTITUTION, o, h, m).columns(0, 0, m + 1)
-    B = operator_for(MethodKind.BYPARTS, o, h, m).columns(0, 0, m + 1)
+    S = operator_for(MethodKind.SUBSTITUTION, o, h, m).block(0, m + 1, 0, m + 1)
+    B = operator_for(MethodKind.BYPARTS, o, h, m).block(0, m + 1, 0, m + 1)
     ds = np.max(np.abs((B - S) @ u))
     magnitude = np.max(np.abs(S @ u))
     assert ds <= 1e-5 * max(1.0, magnitude)

@@ -41,3 +41,11 @@ def test_order_study_takes_n_from_the_order():
     proc = run_script("order_study.py", "--functions", "exp", "--alphas", "1.0,2.5", "--h-list", "4e-3,2e-3,1e-3")
     assert proc.returncode == 0, proc.stderr
     assert [row.split()[:3] for row in proc.stdout.splitlines()[1:]] == [["exp", "1.00", "1.00"], ["exp", "2.50", "1.50"]]
+
+
+def test_order_study_reports_an_unsupported_order_in_one_line():
+    # the tan profile stops at the third derivative, which alpha = 2.5 needs past
+    proc = run_script("order_study.py", "--functions", "tan", "--alphas", "1.0,2.5", "--h-list", "4e-3,2e-3,1e-3")
+    assert proc.returncode == 2
+    assert [row.split()[:2] for row in proc.stdout.splitlines()[1:]] == [["tan", "1.00"]]
+    assert proc.stderr == "error: tan profile supplies derivatives up to 3, asked for 4\n"

@@ -153,7 +153,7 @@ class TestGridAndLayout:
                 r = assemble_residual(eq, SolverConfig(h=h), method, GridFunction(h, u))
                 assert r.values.shape == (m + 1,)
                 ws = _Workspace(eq, SolverConfig(h=h), method)
-                J = ws.jacobian(u, ws.residual_terms(u)[1])(0, 0, m + 1)
+                J = ws.jacobian(u, ws.residual_terms(u)[1])[0](0, m + 1, 0, m + 1)
                 assert J.shape == (m + 1, m + 1)
 
 
@@ -218,7 +218,7 @@ class TestResidual:
         )
         ws = _Workspace(eq, SolverConfig(h=0.1), method)
         u = 0.2 + 0.5 * ws.x - 0.3 * ws.x**2
-        J = ws.jacobian(u, ws.residual_terms(u)[1])(0, 0, ws.m + 1)
+        J = ws.jacobian(u, ws.residual_terms(u)[1])[0](0, ws.m + 1, 0, ws.m + 1)
         r = ws.residual(u)
         fd = np.empty_like(J)
         for j in range(u.size):
@@ -259,7 +259,7 @@ class TestResidual:
         xc, uc = x[nic:], u[nic:]
         acc = np.abs(evaluate(eq.forcing, xc, uc)) + np.abs(evaluate(eq.rhs, xc, uc))
         for t in eq.terms:
-            A = operator_for(method, t.order, h, m).columns(0, 0, m + 1)
+            A = operator_for(method, t.order, h, m).block(0, m + 1, 0, m + 1)
             acc = acc + np.abs(evaluate(t.coeff, xc, uc)) * (np.abs(A) @ np.abs(u))[nic:]
         expected = max(float(np.max(acc)), abs(u[0]) + abs(eq.ic_u0))
         if nic == 2:
@@ -387,7 +387,7 @@ class TestSolve:
         ws = _Workspace(eq, cfg, MethodKind.BYPARTS)
         u, r, iters, failure = _newton(ws, np.ones(ws.m + 1))
         assert (iters, failure) == (5, "expression domain error at every damping level")
-        delta = _solve_upper_banded(ws.jacobian(u, ws.residual_terms(u)[1]), -r)
+        delta = _solve_upper_banded(*ws.jacobian(u, ws.residual_terms(u)[1]), -r)
         lam = 1.0
         while lam >= DAMPING_MIN:
             with pytest.raises(ResidualDomainError):
@@ -451,12 +451,17 @@ def _upper_banded(n, p, seed):
     return np.tril(rng.uniform(-1.0, 1.0, (n, n)), p) / np.sqrt(n) + 2.0 * np.eye(n), rng.uniform(-1.0, 1.0, n)
 
 
+def _dense_accessors(J):
+    # a dense J handed to the step as the Jacobian hands its own
+    return (lambda k0, k1, l0, l1: J[k0:k1, l0:l1].copy()), (lambda i, W: W @ J[i:, i - W.shape[1] : i].T)
+
+
 class TestBandedStep:
     @pytest.mark.parametrize("n", [9, 31, 32, 33, 35, 64, 65, 1001])
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_matches_dense_solve(self, n, p):
         J, r = _upper_banded(n, p, seed=1000 * n + p)
-        x = _solve_upper_banded(lambda k, l0, l1: J[k:, l0:l1].copy(), r)
+        x = _solve_upper_banded(*_dense_accessors(J), r)
         backward = np.max(np.abs(J @ x - r)) / (np.max(np.abs(J)) * np.max(np.abs(x)) + np.max(np.abs(r)))
         assert backward <= 1e-14
         assert np.max(np.abs(x - np.linalg.solve(J, r))) <= 1e-12 * np.max(np.abs(x))
@@ -468,21 +473,47 @@ class TestBandedStep:
         J, r = _upper_banded(n, _BANDWIDTH, seed=n)
         J[{"first": 0, "middle": n // 2, "last": n - 1}[where]] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
-            _solve_upper_banded(lambda k, l0, l1: J[k:, l0:l1].copy(), r)
+            _solve_upper_banded(*_dense_accessors(J), r)
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    @pytest.mark.parametrize("alphas", [(0.6,), (0.6, 0.3), (1.3,), (1.3, 0.6)])
+    @pytest.mark.parametrize("m", [8, 33, 36, 100, 1000])
+    def test_workspace_step_matches_dense_solve(self, method, alphas, m):
+        # at m = 8 and 33 no panel has rows below its head; at 36 panel 0's
+        # tail crosses the edge columns at both ends, and at 100 and 1000
+        # panel 0's crosses the leading and the last tail the trailing ones.
+        # A unit step keeps J's rows on one scale, so that the dense solve
+        # is an oracle to 1e-12.
+        coeffs = ("2 + sin(x)*u", "1 + cos(x)^2")
+        eq = EquationSpec(
+            terms=tuple(TermSpec(E(c), FractionalOrder(a)) for c, a in zip(coeffs, alphas)),
+            forcing=E("sin(x) + u^2"),
+            rhs=E("0"),
+            interval_end=float(m),
+            ic_u0=0.2,
+            ic_du0=0.5 if alphas[0] > 1.0 else None,
+        )
+        ws = _Workspace(eq, SolverConfig(h=1.0), method)
+        u = 0.2 + 0.5 * np.sin(ws.x)
+        r, parts, _scale = ws.residual_terms(u)
+        block, below = ws.jacobian(u, parts)
+        delta = _solve_upper_banded(block, below, -r)
+        want = np.linalg.solve(block(0, m + 1, 0, m + 1), -r)
+        assert np.max(np.abs(delta - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_singular_jacobian_is_non_convergence(self, monkeypatch):
         ws = _Workspace(simple_eq(forcing="sin(x)"), SolverConfig(h=0.1), MethodKind.BYPARTS)
-        jacobian, m = ws.jacobian, ws.m
+        jacobian = ws.jacobian
 
         def singular(u, parts):
-            columns = jacobian(u, parts)
+            block, below = jacobian(u, parts)
 
-            def zeroed(k, l0, l1):
-                strip = columns(k, l0, l1)
-                strip[np.arange(k, m + 1) == 5] = 0.0  # row 5 of J
-                return strip
+            def zeroed(k0, k1, l0, l1):
+                out = block(k0, k1, l0, l1)
+                out[np.arange(k0, k1) == 5] = 0.0  # row 5 of J, above every row below() reads
+                return out
 
-            return zeroed
+            return zeroed, below
 
         monkeypatch.setattr(ws, "jacobian", singular)
         _u, _r, iters, failure = _newton(ws, np.zeros(ws.m + 1))
@@ -495,9 +526,9 @@ class TestBandedStep:
         ws = _Workspace(simple_eq(coeff="x - 0.5", forcing="sin(x)"), SolverConfig(h=0.1), method)
         u = np.zeros(ws.m + 1)
         r, parts, _scale = ws.residual_terms(u)
-        assert not ws.jacobian(u, parts)(5, 0, ws.m + 1)[0].any()
+        assert not ws.jacobian(u, parts)[0](5, 6, 0, ws.m + 1).any()
         with pytest.raises(np.linalg.LinAlgError):
-            _solve_upper_banded(ws.jacobian(u, parts), -r)
+            _solve_upper_banded(*ws.jacobian(u, parts), -r)
         _u, _r, iters, failure = _newton(ws, u)
         assert (iters, failure) == (0, "singular Newton step")
 
@@ -508,7 +539,7 @@ class TestBandedStep:
         # every operator and Jacobian row stops _BANDWIDTH columns right of
         # the diagonal; by-parts row 1 reaches exactly that far
         order = FractionalOrder(alpha)
-        A = operator_for(method, order, 1.0 / m, m).columns(0, 0, m + 1)
+        A = operator_for(method, order, 1.0 / m, m).block(0, m + 1, 0, m + 1)
         assert not np.triu(A, _BANDWIDTH + 1).any()
         if method is MethodKind.BYPARTS:
             assert A[1, 1 + _BANDWIDTH] != 0.0
@@ -516,5 +547,5 @@ class TestBandedStep:
         ws = _Workspace(eq, SolverConfig(h=1.0 / m), method)
         assert ws.n_ic == (2 if alpha > 1.0 else 1)
         u = 0.3 + 0.5 * ws.x
-        J = ws.jacobian(u, ws.residual_terms(u)[1])(0, 0, m + 1)
+        J = ws.jacobian(u, ws.residual_terms(u)[1])[0](0, m + 1, 0, m + 1)
         assert not np.triu(J, _BANDWIDTH + 1).any()

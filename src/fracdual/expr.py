@@ -288,31 +288,36 @@ def _pow(base, expo):
 
 
 def _eval(node: ExpressionTree, x, u):
+    chain = []  # a left-deep chain "a + b + ..." runs in a loop: MAX_NESTING bounds the calls
+    while isinstance(node, Binary):
+        chain.append(node)
+        node = node.left
     if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x if node.name == "x" else u
-    if isinstance(node, Unary):
-        return -_eval(node.operand, x, u)
-    if isinstance(node, Binary):
-        left = _eval(node.left, x, u)
+        value = node.value
+    elif isinstance(node, Var):
+        value = x if node.name == "x" else u
+    elif isinstance(node, Unary):
+        value = -_eval(node.operand, x, u)
+    else:  # Call
+        value = _eval(node.arg, x, u)
+        guard = _DOMAIN.get(node.func)
+        if guard is not None:
+            _check(guard[0](value), guard[1])
+        value = _FUNCTIONS[node.func](value)
+    for node in reversed(chain):
         right = _eval(node.right, x, u)
         if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
+            value = value + right
+        elif node.op == "-":
+            value = value - right
+        elif node.op == "*":
+            value = value * right
+        elif node.op == "/":
             _check(np.asarray(right) == 0.0, "division by zero")
-            return left / right
-        return _pow(left, right)
-    # Call
-    arg = _eval(node.arg, x, u)
-    guard = _DOMAIN.get(node.func)
-    if guard is not None:
-        _check(guard[0](arg), guard[1])
-    return _FUNCTIONS[node.func](arg)
+            value = value / right
+        else:
+            value = _pow(value, right)
+    return value
 
 
 def evaluate(tree: ExpressionTree, x=0.0, u=0.0):
@@ -342,37 +347,42 @@ def _fmt_number(v: float) -> str:
 
 
 def _print(node: ExpressionTree) -> tuple[str, int]:
+    chain = []  # a left-deep chain of binary operators, walked as in _eval
+    while isinstance(node, Binary):
+        chain.append(node)
+        node = node.left
     if isinstance(node, Const):
-        return _fmt_number(node.value), 5
-    if isinstance(node, Var):
-        return node.name, 5
-    if isinstance(node, Call):
-        inner, _ = _print(node.arg)
-        return f"{node.func}({inner})", 5
-    if isinstance(node, Unary):
-        inner, prec = _print(node.operand)
+        text, prec = _fmt_number(node.value), 5
+    elif isinstance(node, Var):
+        text, prec = node.name, 5
+    elif isinstance(node, Call):
+        text, prec = f"{node.func}({_print(node.arg)[0]})", 5
+    else:
+        text, prec = _print(node.operand)
         # grammar admits a single leading minus per factor, so nested
         # negations must be parenthesized
         if prec < _PREC["neg"] or isinstance(node.operand, Unary):
-            inner = f"({inner})"
-        return f"-{inner}", _PREC["neg"]
-    left, lp = _print(node.left)
-    right, rp = _print(node.right)
-    prec = _PREC[node.op]
-    if node.op == "^":
-        # left side of ^ must be an atom; right side is a factor
-        if lp <= prec:
-            left = f"({left})"
-        if rp < _PREC["neg"]:
-            right = f"({right})"
-    else:
-        if lp < prec:
-            left = f"({left})"
-        # wrap equal-precedence right operands so the reparse rebuilds the
-        # identical tree even for right-nested chains
-        if rp <= prec:
-            right = f"({right})"
-    return f"{left}{node.op}{right}", prec
+            text = f"({text})"
+        text, prec = f"-{text}", _PREC["neg"]
+    for node in reversed(chain):
+        left, lp = text, prec
+        right, rp = _print(node.right)
+        prec = _PREC[node.op]
+        if node.op == "^":
+            # left side of ^ must be an atom; right side is a factor
+            if lp <= prec:
+                left = f"({left})"
+            if rp < _PREC["neg"]:
+                right = f"({right})"
+        else:
+            if lp < prec:
+                left = f"({left})"
+            # wrap equal-precedence right operands so the reparse rebuilds the
+            # identical tree even for right-nested chains
+            if rp <= prec:
+                right = f"({right})"
+        text = f"{left}{node.op}{right}"
+    return text, prec
 
 
 def to_string(tree: ExpressionTree) -> str:

@@ -20,7 +20,9 @@ of L (both ends together, so small grids where the ends overlap come out
 whole). A ``ToeplitzOperator`` keeps just these O(m) numbers: it
 multiplies by correlation, writes dense only the small blocks a Newton
 step factors, and multiplies the strips below them through one window of
-the kernel. Nothing is cached: each solve builds its operators once.
+the kernel. A block is one multiply of a strided view of the kernel,
+patched only where it reaches the edge columns. Nothing is cached: each
+solve builds its operators once.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ _EDGE = 6
 @dataclass(frozen=True)
 class ToeplitzOperator:
     """(m+1)x(m+1) matrix with row k rev[m-k : 2m-k+1], apart from the
-    columns ``cols``, which hold ``edge``. The arrays are read-only."""
+    columns ``cols``, which hold ``edge``. The arrays are read-only; the
+    view ``_toeplitz[k, l] = rev[m - k + l]`` has every column Toeplitz."""
 
     rev: np.ndarray
     cols: np.ndarray
@@ -53,6 +56,8 @@ class ToeplitzOperator:
     def __post_init__(self):
         for a in (self.rev, self.cols, self.edge):
             a.setflags(write=False)
+        windows = np.lib.stride_tricks.sliding_window_view(self.rev, self.edge.shape[0])
+        object.__setattr__(self, "_toeplitz", windows[::-1])
 
     def __matmul__(self, u) -> np.ndarray:
         v = np.array(u, dtype=float)
@@ -67,15 +72,12 @@ class ToeplitzOperator:
         d[self.cols] = self.edge[self.cols, np.arange(self.cols.size)]
         return d
 
-    def _kernel(self, k: np.ndarray, l: np.ndarray) -> np.ndarray:
-        """A[k][:, l] with every column Toeplitz, for index arrays k and l."""
-        return self.rev[self.edge.shape[0] - 1 - k[:, None] + l]
-
-    def block(self, k0: int, k1: int, l0: int, l1: int) -> np.ndarray:
-        """Dense A[k0:k1, l0:l1], a new array."""
-        block = self._kernel(np.arange(k0, k1), np.arange(l0, l1))
-        inside = (self.cols >= l0) & (self.cols < l1)
-        block[:, self.cols[inside] - l0] = self.edge[k0:k1, inside]
+    def block(self, k0: int, k1: int, l0: int, l1: int, K=1.0) -> np.ndarray:
+        """Dense K * A[k0:k1, l0:l1], a new array, for a scalar K or a column of k1 - k0."""
+        block = K * self._toeplitz[k0:k1, l0:l1]
+        if l0 < _EDGE or l1 > self.edge.shape[0] - _EDGE:  # the block reaches ``cols``
+            inside = (self.cols >= l0) & (self.cols < l1)
+            block[:, self.cols[inside] - l0] = K * self.edge[k0:k1, inside]
         return block
 
     def strip_product(self, w: int):
@@ -84,14 +86,14 @@ class ToeplitzOperator:
         For every i that strip is the top of X[a, c] = rev[m - w - a + c], built
         once here, apart from the ``cols`` it reaches: those add their difference."""
         n = self.edge.shape[0]
-        XT = self._kernel(np.arange(w, n), np.arange(w)).T.copy()
+        XT = self._toeplitz[w:, :w].T.copy()
 
         def product(i: int, W: np.ndarray) -> np.ndarray:
             out = W @ XT[:, : n - i]
-            q = np.flatnonzero((self.cols >= i - w) & (self.cols < i))
-            if q.size:
+            if i - w < _EDGE or i > n - _EDGE:  # the strip reaches ``cols``
+                q = np.flatnonzero((self.cols >= i - w) & (self.cols < i))
                 j = self.cols[q]
-                out += W[:, j - i + w] @ (self.edge[i:, q] - self._kernel(np.arange(i, n), j)).T
+                out += W[:, j - i + w] @ (self.edge[i:, q] - self._toeplitz[i:, j]).T
             return out
 
         return product

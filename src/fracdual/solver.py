@@ -8,10 +8,10 @@ chosen method. The square nonlinear system is solved globally (all nodes
 at once) by damped Newton with a forward-difference Jacobian J, each step
 an O(m^2) blocked QR of banded J^T, forward in x, that forms J only in
 blocks at the diagonal and reaches the rest through 4-column products.
-One pass over the terms gives the residual, the products the Jacobian
-reuses and the rounding floor. A solve holds O(m * _BLOCK) per term. The
-step h is the only setting: Newton's are the constants below, so both
-methods run under one solver.
+One pass over the terms gives the residual and the products the Jacobian
+reuses; the rounding floor is formed only where a test needs it. A solve
+holds O(m * _BLOCK) per term. The step h is the only setting: Newton's
+are the constants below, so both methods run under one solver.
 """
 
 from __future__ import annotations
@@ -175,6 +175,7 @@ class _Workspace:
         self.n_ic = eq.n_ic
         self.ops = [operator_for(method, t.order, h, m) for t in eq.terms]
         self.abs_ops = [abs(A) for A in self.ops]
+        self.abs_row_sums = [float(np.max(absA @ np.ones(m + 1))) for absA in self.abs_ops]
         self.strip_products = [A.strip_product(_BLOCK) for A in self.ops]
         self.xc = self.x[self.n_ic :]
         # u(0) and u'(0) rows on u[:3], divided by the denominator after the product
@@ -192,31 +193,45 @@ class _Workspace:
 
     def residual_terms(self, u: np.ndarray):
         """The residual of u, the parts it was formed from (f, g, every K_i
-        and every product A_i @ u), and the scale its sums cancel over: the
-        same sums taken of absolute values."""
-        nic, au = self.n_ic, np.abs(u)
+        and every product A_i @ u), and its rounding floor as a function
+        ``floor(exact)``, formed only when called: see ``floor_scale``."""
+        nic = self.n_ic
         r = np.empty(self.m + 1)
         r[:nic] = self.ic_rows @ u[:3] / self.ic_denom - self.ic_vals
-        ic_scale = np.abs(self.ic_rows) @ au[:3] / self.ic_denom + np.abs(self.ic_vals)
         f, g, Ks = self._parts(u[nic:])
         # overflow makes a non-finite residual, which the Newton loop rejects
         with np.errstate(over="ignore", invalid="ignore"):
             products = [A @ u for A in self.ops]
-            acc, scale = f - g, np.abs(f) + np.abs(g)
-            for K, absA, Au in zip(Ks, self.abs_ops, products):
+            acc = f - g
+            for K, Au in zip(Ks, products):
                 acc = acc + K * Au[nic:]
-                scale = scale + np.abs(K) * (absA @ au)[nic:]
         r[nic:] = acc
-        return r, (f, g, Ks, products), max(float(np.max(scale)), float(np.max(ic_scale)))
+        return r, (f, g, Ks, products), lambda exact: self.floor_scale(u, f, g, Ks, exact)
+
+    def floor_scale(self, u: np.ndarray, f, g, Ks, exact: bool) -> float:
+        """The scale the residual's sums cancel over, the same sums of absolute
+        values with the condition rows', or unless ``exact`` a bound on it: each
+        row of |A_i| @ |u| is at most R_i max|u|, R_i = ``abs_row_sums[i]``."""
+        nic, au = self.n_ic, np.abs(u)
+        ic_scale = np.abs(self.ic_rows) @ au[:3] / self.ic_denom + np.abs(self.ic_vals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.abs(f) + np.abs(g)
+            if exact:
+                for K, absA in zip(Ks, self.abs_ops):
+                    scale = scale + np.abs(K) * (absA @ au)[nic:]
+            else:  # 1 + 1e-9 covers the rounding of both sides' sums
+                terms = sum(np.max(np.abs(K)) * R for K, R in zip(Ks, self.abs_row_sums)) * np.max(au)
+                scale = (np.max(scale) + terms) * (1.0 + 1e-9)
+        return max(float(np.max(scale)), float(np.max(ic_scale)))
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         return self.residual_terms(u)[0]
 
     def jacobian(self, u: np.ndarray, parts: tuple):
         """Forward-difference Jacobian J, column step 1e-7*(1+|u_j|), as the
-        accessors block(k0, k1, l0, l1) = J[k0:k1, l0:l1], a new array, and
-        below(i, W) = W @ J[i:, i - _BLOCK : i].T (i >= _BLOCK), formed from
-        the operators' windows without writing that strip of J.
+        accessors block(k0, k1, l0, l1) = J[k0:k1, l0:l1], a new array of one
+        multiply per term, and below(i, W) = W @ J[i:, i - _BLOCK : i].T
+        (i >= _BLOCK), from the operators' windows without writing that strip.
 
         Expression trees act pointwise, so the finite-difference column j
         differs from the linear part only in its diagonal entry; the
@@ -237,14 +252,20 @@ class _Workspace:
         ic[:, :3] = self.ic_rows / self.ic_denom[:, None]
 
         def block(k0: int, k1: int, l0: int, l1: int) -> np.ndarray:
-            out = sum(K[k0:k1, None] * A.block(k0, k1, l0, l1) for K, A in zip(Ks, self.ops))
-            i = np.arange(max(k0, l0), min(k1, l1))
-            out[i - k0, i - l0] += diag[i]
-            out[: max(nic - k0, 0)] = ic[k0:k1, l0:l1]
+            out = sum(A.block(k0, k1, l0, l1, K[k0:k1, None]) for K, A in zip(Ks, self.ops))
+            lo, hi = max(k0, l0), min(k1, l1)  # J's diagonal in the block, through a view
+            np.einsum("ii->i", out[lo - k0 : hi - k0, lo - l0 : hi - l0])[:] += diag[lo:hi]
+            if k0 < nic:
+                out[: nic - k0] = ic[k0:k1, l0:l1]
             return out
 
         def below(i: int, W: np.ndarray) -> np.ndarray:
-            return sum(K[i:] * product(i, W) for K, product in zip(Ks, self.strip_products))
+            out = None  # the sum of the terms, each scaled and added in place
+            for K, product in zip(Ks, self.strip_products):
+                t = product(i, W)
+                t *= K[i:]
+                out = t if out is None else np.add(out, t, out=out)
+            return out
 
         return block, below
 
@@ -261,11 +282,13 @@ def _solve_upper_banded(block, below, r: np.ndarray) -> np.ndarray:
     below row e it needs only the z-weighted sum and the carried columns of
     J[:, k:f] Q: from ``block`` down to row f, then from the carried columns
     and ``below`` (Golub & Van Loan, Matrix Computations, 5.2, without the
-    trailing matrix). Only the Qs are kept, and x = Q z applies them in
-    reverse. A zero row of J leaves a zero on L's diagonal: LinAlgError.
+    trailing matrix), whose weights W and product LT are filled in place.
+    Only the Qs are kept, and x = Q z applies them in reverse. A zero row
+    of J leaves a zero on L's diagonal: LinAlgError.
     """
     n = r.size
     z, acc, Qs = np.empty(n), np.zeros(n), []  # acc[k:] = L[k:, :k] @ z[:k]
+    W = np.empty((1 + _BANDWIDTH, _BLOCK + _BANDWIDTH), order="F")  # rows J[:, k:f] Q is weighted by, per panel
     carried = block(0, n, 0, _BANDWIDTH).T  # L[k:, k:k + _BANDWIDTH]^T
     for k in range(0, n, _BLOCK):
         e = min(k + _BLOCK, n)
@@ -276,10 +299,12 @@ def _solve_upper_banded(block, below, r: np.ndarray) -> np.ndarray:
         # L[k:e, k:e] = R^T, solved reversed: upper triangular, so a zero
         # on its diagonal stays an exact zero pivot
         z[k:e] = np.linalg.solve(R[: e - k].T[::-1, ::-1], (r[k:e] - acc[k:e])[::-1])[::-1]
-        W = np.vstack([Q[:, : e - k] @ z[k:e], Q[:, e - k :].T])
-        LT = W @ T[:, e - k :]  # (J[e:, k:f] @ W^T)^T, rows e..f-1, then the rows below
+        Wk = W[: 1 + f - e, : f - k]
+        Wk[0], Wk[1:] = Q[:, : e - k] @ z[k:e], Q[:, e - k :].T
+        LT = np.empty((1 + f - e, n - e))  # (J[e:, k:f] @ Wk^T)^T, rows e..f-1, then the rows below
+        LT[:, : f - e] = Wk @ T[:, e - k :]
         if f < n:
-            LT = np.hstack([LT, W[:, :_BANDWIDTH] @ carried[:, f - k :] + below(f, W[:, _BANDWIDTH:])])
+            np.add(Wk[:, :_BANDWIDTH] @ carried[:, f - k :], below(f, Wk[:, _BANDWIDTH:]), out=LT[:, f - e :])
         acc[e:] += LT[0]
         carried = LT[1:]
         Qs.append(Q)
@@ -305,9 +330,12 @@ def assemble_residual(
     return GridFunction(cfg.h, ws.residual(np.asarray(candidate.values, dtype=float)))
 
 
-def _converged(r: np.ndarray, u: np.ndarray, scale: float) -> bool:
-    limit = NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
-    return float(np.max(np.abs(r))) <= max(limit, RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * scale)
+def _converged(r: np.ndarray, u: np.ndarray, floor) -> bool:
+    # the floor's bound rules most iterates out before its exact scale is formed
+    rmax, tiny = float(np.max(np.abs(r))), RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps
+    return rmax <= NEWTON_TOL * (1.0 + float(np.max(np.abs(u)))) or (
+        rmax <= tiny * floor(False) and rmax <= tiny * floor(True)
+    )
 
 
 def _newton(ws: _Workspace, u0: np.ndarray):
@@ -316,7 +344,7 @@ def _newton(ws: _Workspace, u0: np.ndarray):
     whose residual cannot be formed leaves no iterate: u = r = None."""
     u = u0.copy()
     try:
-        r, parts, scale = ws.residual_terms(u)
+        r, parts, floor = ws.residual_terms(u)
     except ResidualDomainError as exc:
         return None, None, 0, str(exc)
     bad = np.flatnonzero(~np.isfinite(r))
@@ -324,7 +352,7 @@ def _newton(ws: _Workspace, u0: np.ndarray):
         return None, None, 0, f"non-finite starting residual at node {bad[0]}"
     iters = 0
     for _ in range(NEWTON_MAX_ITER):
-        if _converged(r, u, scale):
+        if _converged(r, u, floor):
             return u, r, iters, None
         try:
             delta = _solve_upper_banded(*ws.jacobian(u, parts), -r)
@@ -351,9 +379,9 @@ def _newton(ws: _Workspace, u0: np.ndarray):
         if accepted is None:
             blocked = "expression domain error at every damping level"
             return u, r, iters, blocked if domain_blocked else "line search found no decrease"
-        u, r, parts, scale = accepted
+        u, r, parts, floor = accepted
         iters += 1
-    return u, r, iters, None if _converged(r, u, scale) else f"no convergence in {NEWTON_MAX_ITER} iterations"
+    return u, r, iters, None if _converged(r, u, floor) else f"no convergence in {NEWTON_MAX_ITER} iterations"
 
 
 def solve(eq: EquationSpec, cfg: SolverConfig, method: MethodKind) -> Solution:

@@ -1,4 +1,6 @@
 import math
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -250,6 +252,20 @@ def test_error_column_matches_published_scale(solved_fixture):
     err = compare_to_exact(report.sol_byparts, problem.exact)
     k = round(0.1 / problem.h)
     assert err.errors[k] == pytest.approx(5.1e-5, rel=0.3)
+
+
+def test_forcing_padded_with_a_thousand_zero_terms_solves_the_same(solved_fixture):
+    # each "+0*x" adds an exact zero, so the padded forcing, a tree 1,000
+    # operators deep, gives u bit for bit
+    _problem, report = solved_fixture("linear_x12")
+    text = resources.files("fracdual.fixtures").joinpath("linear_x12.prob").read_text("utf-8")
+    padded = re.sub(r'^(forcing = ".*)"$', lambda mt: mt.group(1) + "+0*x" * 1000 + '"', text, flags=re.M)
+    assert padded.count("+0*x") == 1000
+    problem = parse_problem_text(padded)
+    again = dual_solve(problem.equation, problem.config(), threshold=problem.threshold)
+    for sol, want in ((again.sol_subst, report.sol_subst), (again.sol_byparts, report.sol_byparts)):
+        assert np.array_equal(sol.u.values, want.u.values)
+        assert sol.newton_iters == want.newton_iters
 
 
 def test_dual_report_carries_both_solutions(solved_fixture):

@@ -129,6 +129,15 @@ def test_nesting_is_capped(nest, offset):
     assert err.value.offset == offset
 
 
+def test_long_flat_sum_round_trips():
+    # a flat chain parses in a loop into a left-deep tree 1,999 operators
+    # deep; printing and evaluating it must not recurse once per operator.
+    # Trees are compared as text: the dataclass == recurses too
+    text = to_string(parse_expression("+".join(["x"] * 2000)))
+    assert to_string(parse_expression(text)) == text
+    assert evaluate(parse_expression(text), 1.5, 0.0) == 3000.0
+
+
 def test_vectorized_matches_scalar():
     tree = parse_expression("x^1.2 - 1.2*gamma(0.5)*gamma(1.2)/gamma(1.7)*x^0.7/sqrt(pi)")
     xs = np.linspace(0.01, 1.0, 37)

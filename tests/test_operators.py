@@ -90,6 +90,27 @@ def test_matches_dense_product(method, alpha, h, m):
     assert np.max(np.abs(op.diagonal() - np.diag(want))) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("method", list(MethodKind))
+@pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["n=1", "n=2"])
+@pytest.mark.parametrize("m", [8, 33, 36, 100])
+def test_panel_diagonal_blocks_match_dense(method, alpha, m):
+    # the Newton step's diagonal blocks (k, min(k + 35, n)), k a multiple of
+    # 32: on these grids they reach the edge columns at both ends, and on
+    # the smaller ones a block holds both ends at once
+    o = FractionalOrder(alpha)
+    want = dense_operator(method, o, 1.0 / m, m)
+    op = operator_for(method, o, 1.0 / m, m)
+    n = m + 1
+    K = np.random.default_rng(m).normal(size=(n, 1))
+    bound = 1e-12 * np.max(np.abs(want))
+    for k0 in range(0, n, 32):
+        k1 = min(k0 + 35, n)
+        block = op.block(k0, k1, k0, k1)
+        assert np.max(np.abs(block - want[k0:k1, k0:k1])) <= bound
+        # a scaled block is one multiply of the same entries
+        assert np.array_equal(op.block(k0, k1, k0, k1, K[k0:k1]), K[k0:k1] * block)
+
+
 def test_rejects_grids_below_stencil_layout():
     with pytest.raises(ValueError, match="m >= 8"):
         fractional_operator(MethodKind.SUBSTITUTION, 0.5, 1, 0.2, 7)

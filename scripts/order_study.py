@@ -36,11 +36,12 @@ def main():
     for fname in args.functions.split(","):
         for alpha in (float(a) for a in args.alphas.split(",")):
             n = FractionalOrder(alpha).n
+            table = {h: derivative_table(fname, alpha, h, [args.x])[0] for h in h_list}
             orders = {}
             for column, label in ((3, "subst"), (5, "byparts")):
 
                 def err(h, idx=column):
-                    v = derivative_table(fname, alpha, h, [args.x])[0][idx]
+                    v = table[h][idx]
                     return v if math.isfinite(v) else None
 
                 rows = convergence_study(err, h_list)

@@ -8,10 +8,13 @@ Grammar (EBNF):
     power  := atom ("^" factor)?
     atom   := number | "x" | "u" | "pi" | "e" | name "(" expr ")" | "(" expr ")"
 
-where name is a key of ``_FUNCTIONS``. "^" is right-associative and binds
-tighter than unary minus. Numbers are ASCII decimal digits with an
-optional fraction and exponent (1, 2.5, 1e-3), and names are ASCII; any
-other character is a ParseError at its offset. Trees are immutable after
+where name is a key of ``_FUNCTIONS`` (name -> numpy op and domain guard),
+and the binary operators are the keys of ``_OPERATORS`` (symbol ->
+precedence and evaluator): the tokenizer, parser, evaluator and printer
+read both tables. "^" is right-associative and binds tighter than unary
+minus. Numbers are ASCII decimal digits with an optional fraction and
+exponent (1, 2.5, 1e-3) and must be finite; names are ASCII; any other
+character is a ParseError at its offset. Trees are immutable after
 parsing; evaluation is pure and accepts floats or numpy arrays for x and u.
 Domain violations (tan near a pole, ln of a non-positive, sqrt of a
 negative, division by zero, fractional powers of negatives, gamma at a
@@ -21,6 +24,7 @@ pole) raise EvalDomainError instead of propagating NaN.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -47,7 +51,7 @@ __all__ = [
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _TAN_COS_GUARD = 1e-12
 # Most levels of parentheses, calls and "^" right operands open at once.
-# A level costs the parser up to five stack frames, so this keeps a parse
+# A level costs the parser up to seven stack frames, so this keeps a parse
 # well inside Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
@@ -96,7 +100,7 @@ class Unary:
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # one of + - * / ^
+    op: str  # a key of _OPERATORS
     left: "ExpressionTree"
     right: "ExpressionTree"
 
@@ -110,6 +114,103 @@ class Call:
 ExpressionTree = Union[Const, Var, Unary, Binary, Call]
 
 
+# --- evaluation ---------------------------------------------------------------
+
+
+def _check(mask, message):
+    if np.any(mask):
+        raise EvalDomainError(message, index=int(np.flatnonzero(mask)[0]) if np.ndim(mask) else None)
+
+
+def _gamma(arg):
+    try:
+        return gamma(arg)
+    except SpecialFunctionDomainError as exc:
+        raise EvalDomainError(str(exc), exc.index) from exc
+
+
+def _pow(base, expo):
+    base = np.asarray(base, dtype=float)
+    expo = np.asarray(expo, dtype=float)
+    if np.all(base > 0.0):
+        with np.errstate(over="ignore"):
+            return np.power(base, expo)
+    neg = base < 0.0
+    zero = base == 0.0
+    _check(neg & (expo != np.floor(expo)), "fractional power of a negative base")
+    _check(zero & (expo < 0.0), "zero raised to a negative power")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mag = np.power(np.abs(base), expo)
+        sign = np.where(neg & (np.mod(expo, 2.0) == 1.0), -1.0, 1.0)
+        out = np.where(zero, np.where(expo == 0.0, 1.0, 0.0), sign * mag)
+    return out
+
+
+def _divide(num, den):
+    _check(np.asarray(den) == 0.0, "division by zero")
+    return num / den
+
+
+# The grammar's functions: name -> (numpy op, guard), a guard being None or
+# the (bad-argument mask, message) checked before the op runs.
+_FUNCTIONS = {
+    "sin": (np.sin, None),
+    "cos": (np.cos, None),
+    "tan": (np.tan, (lambda a: np.abs(np.cos(a)) < _TAN_COS_GUARD, "tan evaluated at a pole")),
+    "exp": (np.exp, None),
+    "ln": (np.log, (lambda a: np.asarray(a) <= 0.0, "ln of a non-positive value")),
+    "sqrt": (np.sqrt, (lambda a: np.asarray(a) < 0.0, "sqrt of a negative value")),
+    "abs": (np.abs, None),
+    "gamma": (_gamma, None),
+}
+# The grammar's binary operators, a precedence level a line: symbol -> (precedence, evaluator).
+_OPERATORS = {
+    "+": (1, operator.add), "-": (1, operator.sub),
+    "*": (2, operator.mul), "/": (2, _divide),
+    "^": (4, _pow),
+}
+_NEG = 3  # precedence of unary minus
+
+
+def _eval(node: ExpressionTree, x, u):
+    chain = []  # a left-deep chain "a + b + ..." runs in a loop: MAX_NESTING bounds the calls
+    while isinstance(node, Binary):
+        chain.append(node)
+        node = node.left
+    if isinstance(node, Const):
+        value = node.value
+    elif isinstance(node, Var):
+        value = x if node.name == "x" else u
+    elif isinstance(node, Unary):
+        value = -_eval(node.operand, x, u)
+    else:  # Call
+        value = _eval(node.arg, x, u)
+        func, guard = _FUNCTIONS[node.func]
+        if guard is not None:
+            _check(guard[0](value), guard[1])
+        value = func(value)
+    for node in reversed(chain):
+        value = _OPERATORS[node.op][1](value, _eval(node.right, x, u))
+    return value
+
+
+def evaluate(tree: ExpressionTree, x=0.0, u=0.0):
+    """Evaluate ``tree`` at (x, u).
+
+    Scalars in, float out; numpy arrays in, array out (broadcasting the
+    scalar argument when only one is an array), also when the tree reads
+    no array (``"2.5"``, or ``"u"`` with a scalar u). Overflow gives inf
+    and inf - inf gives nan, silently: callers check finiteness themselves.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _eval(tree, x, u)
+    if np.isscalar(x) and np.isscalar(u):
+        return float(result)
+    if np.ndim(result) == 0:
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(u)), result)
+    return result
+
+
 # --- tokenizer --------------------------------------------------------------
 
 # An ASCII number (exponent only when digits follow), an ASCII name, or an
@@ -118,7 +219,7 @@ ExpressionTree = Union[Const, Var, Unary, Binary, Call]
 _TOKEN = re.compile(
     r"(?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()])"
+    r"|(?P<op>[()" + re.escape("".join(_OPERATORS)) + "])"
     r"|(?P<bad>\S)"
 )
 
@@ -139,7 +240,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -174,25 +274,16 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {value!r}", offset)
         return tree
 
-    def expr(self) -> ExpressionTree:
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.advance()
-                node = Binary(value, node, self.term())
-            else:
-                return node
-
-    def term(self) -> ExpressionTree:
+    def expr(self, min_prec: int = 1) -> ExpressionTree:
+        """Factors joined left to right by operators of precedence ``min_prec`` or more."""
         node = self.factor()
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in ("*", "/"):
-                self.advance()
-                node = Binary(value, node, self.factor())
-            else:
+            prec = _OPERATORS[value][0] if kind == "op" and value in _OPERATORS else 0
+            if prec < min_prec:
                 return node
+            self.advance()
+            node = Binary(value, node, self.expr(prec + 1))
 
     def factor(self) -> ExpressionTree:
         kind, value, _ = self.peek()
@@ -212,6 +303,8 @@ class _Parser:
     def atom(self) -> ExpressionTree:
         kind, value, offset = self.advance()
         if kind == "number":
+            if not math.isfinite(float(value)):
+                raise ParseError(f"number {value!r} is not finite", offset)
             return Const(float(value))
         if kind == "name":
             if value in ("x", "u"):
@@ -236,110 +329,7 @@ def parse_expression(text: str) -> ExpressionTree:
     return _Parser(text).parse()
 
 
-# --- evaluation ---------------------------------------------------------------
-
-
-def _check(mask, message):
-    if np.any(mask):
-        raise EvalDomainError(message, index=int(np.flatnonzero(mask)[0]) if np.ndim(mask) else None)
-
-
-def _gamma(arg):
-    try:
-        return gamma(arg)
-    except SpecialFunctionDomainError as exc:
-        raise EvalDomainError(str(exc), exc.index) from exc
-
-
-# The grammar's functions: the parser accepts exactly these names.
-_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "gamma": _gamma,
-}
-# Guards checked before a function runs: name -> (bad-argument mask, message).
-_DOMAIN = {
-    "tan": (lambda a: np.abs(np.cos(a)) < _TAN_COS_GUARD, "tan evaluated at a pole"),
-    "ln": (lambda a: np.asarray(a) <= 0.0, "ln of a non-positive value"),
-    "sqrt": (lambda a: np.asarray(a) < 0.0, "sqrt of a negative value"),
-}
-
-
-def _pow(base, expo):
-    base = np.asarray(base, dtype=float)
-    expo = np.asarray(expo, dtype=float)
-    if np.all(base > 0.0):
-        with np.errstate(over="ignore"):
-            return np.power(base, expo)
-    neg = base < 0.0
-    zero = base == 0.0
-    _check(neg & (expo != np.floor(expo)), "fractional power of a negative base")
-    _check(zero & (expo < 0.0), "zero raised to a negative power")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mag = np.power(np.abs(base), expo)
-        sign = np.where(neg & (np.mod(expo, 2.0) == 1.0), -1.0, 1.0)
-        out = np.where(zero, np.where(expo == 0.0, 1.0, 0.0), sign * mag)
-    return out
-
-
-def _eval(node: ExpressionTree, x, u):
-    chain = []  # a left-deep chain "a + b + ..." runs in a loop: MAX_NESTING bounds the calls
-    while isinstance(node, Binary):
-        chain.append(node)
-        node = node.left
-    if isinstance(node, Const):
-        value = node.value
-    elif isinstance(node, Var):
-        value = x if node.name == "x" else u
-    elif isinstance(node, Unary):
-        value = -_eval(node.operand, x, u)
-    else:  # Call
-        value = _eval(node.arg, x, u)
-        guard = _DOMAIN.get(node.func)
-        if guard is not None:
-            _check(guard[0](value), guard[1])
-        value = _FUNCTIONS[node.func](value)
-    for node in reversed(chain):
-        right = _eval(node.right, x, u)
-        if node.op == "+":
-            value = value + right
-        elif node.op == "-":
-            value = value - right
-        elif node.op == "*":
-            value = value * right
-        elif node.op == "/":
-            _check(np.asarray(right) == 0.0, "division by zero")
-            value = value / right
-        else:
-            value = _pow(value, right)
-    return value
-
-
-def evaluate(tree: ExpressionTree, x=0.0, u=0.0):
-    """Evaluate ``tree`` at (x, u).
-
-    Scalars in, float out; numpy arrays in, array out (broadcasting the
-    scalar argument when only one is an array), also when the tree reads
-    no array (``"2.5"``, or ``"u"`` with a scalar u). Overflow gives inf
-    and inf - inf gives nan, silently: callers check finiteness themselves.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = _eval(tree, x, u)
-    if np.isscalar(x) and np.isscalar(u):
-        return float(result)
-    if np.ndim(result) == 0:
-        return np.full(np.broadcast_shapes(np.shape(x), np.shape(u)), result)
-    return result
-
-
 # --- printing -----------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def _fmt_number(v: float) -> str:
@@ -361,26 +351,21 @@ def _print(node: ExpressionTree) -> tuple[str, int]:
         text, prec = _print(node.operand)
         # grammar admits a single leading minus per factor, so nested
         # negations must be parenthesized
-        if prec < _PREC["neg"] or isinstance(node.operand, Unary):
+        if prec < _NEG or isinstance(node.operand, Unary):
             text = f"({text})"
-        text, prec = f"-{text}", _PREC["neg"]
+        text, prec = f"-{text}", _NEG
     for node in reversed(chain):
         left, lp = text, prec
         right, rp = _print(node.right)
-        prec = _PREC[node.op]
-        if node.op == "^":
-            # left side of ^ must be an atom; right side is a factor
-            if lp <= prec:
-                left = f"({left})"
-            if rp < _PREC["neg"]:
-                right = f"({right})"
-        else:
-            if lp < prec:
-                left = f"({left})"
-            # wrap equal-precedence right operands so the reparse rebuilds the
-            # identical tree even for right-nested chains
-            if rp <= prec:
-                right = f"({right})"
+        prec = _OPERATORS[node.op][0]
+        # the left side of ^ is an atom and its right side a factor; + - * /
+        # associate left, so an equal-precedence right operand is wrapped for
+        # the reparse to rebuild the identical tree
+        left_min, right_min = (prec + 1, _NEG) if node.op == "^" else (prec, prec + 1)
+        if lp < left_min:
+            left = f"({left})"
+        if rp < right_min:
+            right = f"({right})"
         text = f"{left}{node.op}{right}"
     return text, prec
 

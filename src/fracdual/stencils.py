@@ -9,6 +9,7 @@ the same-order one-sided stencil on the available side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,14 @@ STENCILS: dict[tuple[int, str], StencilKind] = {
 
 
 def _scaled_coefficients(order: int, placement: str, h: float) -> np.ndarray:
-    kind = STENCILS[(order, placement)]
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step must be positive and finite, got {h}")
+    kind = STENCILS.get((order, placement))
+    if kind is None:
+        raise ValueError(
+            f"no stencil of order {order!r} placed {placement!r}: "
+            "orders are 1-3, placements forward, central and backward"
+        )
     return np.asarray(kind.coefficients) / (kind.denominator * h**order)
 
 
@@ -74,15 +82,13 @@ def apply_stencil(order: int, placement: str, values, h: float) -> float:
     the derivative estimate at the stencil's evaluation node (first node
     for forward, middle for central, last for backward).
     """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    kind = STENCILS[(order, placement)]
+    coefficients = _scaled_coefficients(order, placement, h)
     window = np.asarray(values, dtype=float)
-    if window.shape != (kind.width,):
+    if window.shape != coefficients.shape:
         raise ValueError(
-            f"{placement} stencil of order {order} needs {kind.width} samples, got {window.shape}"
+            f"{placement} stencil of order {order} needs {coefficients.size} samples, got {window.shape}"
         )
-    return float(np.dot(_scaled_coefficients(order, placement, h), window))
+    return float(np.dot(coefficients, window))
 
 
 def differentiation_rows(order: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -263,6 +263,19 @@ def test_deep_nesting_exits_2(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_overflowing_literal_exits_2(tmp_path, capsys):
+    # 1e999 would parse to inf and be written back as "inf", a name the grammar rejects
+    path = tmp_path / "overflow.prob"
+    forcing = 'forcing = "1e999*x - 1e999*x + sin(x)"'
+    path.write_text(re.sub(r"^forcing = .*$", forcing, TINY_PROBLEM, flags=re.M), encoding="utf-8")
+    out = tmp_path / "normalized.prob"
+    code = main(["solve", "--problem", str(path), "--dump-normalized", str(out)])
+    assert code == 2
+    message = "line 4: bad expression for forcing: number '1e999' is not finite (offset 0)"
+    assert capsys.readouterr().err == f"error: problem-file: {path}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_bad_threshold_exits_2(tmp_path, capsys, value):
     path = tmp_path / "threshold.prob"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fracdual.expr import (
     _FUNCTIONS,
+    _OPERATORS,
     MAX_NESTING,
     Binary,
     Call,
@@ -18,6 +19,7 @@ from fracdual.expr import (
     Unary,
     UnknownIdentifierError,
     Var,
+    _pow,
     evaluate,
     parse_expression,
     to_string,
@@ -64,7 +66,10 @@ def test_scientific_notation():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "1 +", "(x", "x )", "foo(x)", "y + 1", "1..2", "x x", "sin x", "--x", "\u00b2", "x*\u00b2", "\u0663"],
+    [
+        "", "1 +", "(x", "x )", "foo(x)", "y + 1", "1..2", "x x", "sin x", "--x",
+        "\u00b2", "x*\u00b2", "\u0663", "1e999", "2*1e400",
+    ],
 )
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
@@ -81,6 +86,12 @@ def test_readme_lists_every_function():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     listed = re.search(r"the functions\s+`([^`]*)`", readme).group(1).split()
     assert listed == list(_FUNCTIONS)
+
+
+def test_readme_lists_every_operator():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"The expression grammar:\s+`([^`]*)`", readme).group(1).split()
+    assert listed == list(_OPERATORS)
 
 
 @pytest.mark.parametrize(
@@ -116,8 +127,10 @@ def test_domain_error_carries_array_index():
         (lambda n: "(" * n + "x" + ")" * n, MAX_NESTING),
         (lambda n: "sin(" * n + "x" + ")" * n, 4 * MAX_NESTING + 3),
         (lambda n: "x^" * n + "x", 2 * MAX_NESTING + 1),
+        # the deepest parser stack a level can take: both binary levels, then "("
+        (lambda n: "x+x*(" * n + "x" + ")" * n, 5 * MAX_NESTING + 4),
     ],
-    ids=["parentheses", "calls", "powers"],
+    ids=["parentheses", "calls", "powers", "operators"],
 )
 def test_nesting_is_capped(nest, offset):
     # offset: the "(" or "^" that opens level MAX_NESTING + 1
@@ -158,6 +171,17 @@ def test_array_in_array_out_when_no_array_is_read(text):
 def test_negative_base_integer_exponent():
     assert ev("u^3", u=-2.0) == -8.0
     assert ev("u^2", u=-2.0) == 4.0
+
+
+def test_pow_fast_path_matches_general_path():
+    # _pow skips its sign and zero masks when every base is positive; an
+    # appended (-1)^2 forces the general path, which must give the same bits
+    rng = np.random.default_rng(7)
+    base = np.r_[rng.uniform(1e-3, 2.0, 500), 10.0 ** rng.uniform(-300.0, 300.0, 500)]
+    expo = np.r_[rng.uniform(-3.0, 3.0, 500), rng.uniform(-1.5, 1.5, 500)]
+    general = _pow(np.r_[base, -1.0], np.r_[expo, 2.0])
+    assert general[-1] == 1.0
+    assert _pow(base, expo).tobytes() == general[:-1].tobytes()
 
 
 # --- round trip ----------------------------------------------------------------

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dense_stencils import difference_matrix_3pt, differentiation_matrix
+from fracdual.caputo import MethodKind
+from fracdual.operators import fractional_operator
 from fracdual.stencils import (
     STENCILS,
     apply_rows,
@@ -111,6 +113,25 @@ def test_window_length_mismatch():
         apply_stencil(2, "forward", np.zeros(5), 0.1)
     with pytest.raises(ValueError):
         apply_stencil(3, "central", np.zeros(3), 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: apply_stencil(1, "forward", [1.0, 2.0, 3.0], math.nan), "step must be positive and finite"),
+        (lambda: apply_stencil(1, "forward", [1.0, 2.0, 3.0], math.inf), "step must be positive and finite"),
+        (lambda: apply_stencil(1, "forward", [1.0, 2.0, 3.0], 0.0), "step must be positive and finite"),
+        (lambda: differentiation_rows(1, math.nan), "step must be positive and finite"),
+        (lambda: apply_stencil(4, "forward", np.zeros(6), 0.1), "orders are 1-3"),
+        (lambda: apply_stencil(1, "sideways", np.zeros(3), 0.1), "placements forward, central and backward"),
+        (lambda: differentiation_rows(4, 0.1), "orders are 1-3"),
+        (lambda: fractional_operator(MethodKind.SUBSTITUTION, 3.5, 4, 0.1, 10), "orders are 1-3"),
+    ],
+    ids=["nan step", "inf step", "zero step", "rows nan step", "order 4", "placement", "rows order 4", "operator n=4"],
+)
+def test_bad_step_or_stencil_key_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_differentiation_matrix_layout():

@@ -84,7 +84,14 @@ class EvalDomainError(ValueError):
 
 @dataclass(frozen=True)
 class Const:
+    """A number the grammar spells: finite, not negative and not -0.0.
+    A minus sign is a ``Unary`` node, so ``to_string`` reprints every tree."""
+
     value: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.value) and math.copysign(1.0, self.value) > 0.0):
+            raise ValueError(f"a constant is finite and not negative, got {self.value!r}")
 
 
 @dataclass(frozen=True)

@@ -3,26 +3,30 @@
 Row k of an operator matrix A reproduces the corresponding scalar
 quadrature at t = k*h applied to stencil-reconstructed derivative
 samples of the grid function, so a matrix-vector product evaluates
-D^alpha u at every node at once. Each rule is a weight matrix L times a
-banded stencil matrix B:
+D^alpha u at every node at once. Both rules are built from W S_n, the
+substitution trapezoid weights W times the n-th derivative stencils S_n:
 
-* substitution: A = W S_n, with S_n the n-th derivative stencils;
+* substitution: A = W S_n;
 * by-parts: A = c S_n[0,:] + P D S_n, with D the three-point differences
-  and the boundary term c anchored at node 0.
+  and the boundary term c anchored at node 0. Summation by parts turns
+  P D into W apart from nodes 0-2, so A = W S_n - c l, with l =
+  (S_n[0,:] - 2 S_n[1,:] + S_n[2,:]) / 4 nonzero on columns 0-4 (0-5
+  for n = 3).
 
-L is lower-triangular Toeplitz, L[k,j] = lam[k-j], apart from its column
-0 (and row 0, which is zero); B repeats its central stencil row apart
+W is lower-triangular Toeplitz, W[k,j] = lam[k-j], apart from its column
+0 (and row 0, which is zero); S_n repeats its central stencil row apart
 from one-sided rows at the ends. So every column that only central rows
-of B reach is Toeplitz too, A[k,l] = kappa[k-l] with kappa = lam
-convolved with B's central row. That holds outside the ``_EDGE`` columns
-at each end, which assembly computes exactly as sums of shifted columns
-of L (both ends together, so small grids where the ends overlap come out
-whole). A ``ToeplitzOperator`` keeps just these O(m) numbers: it
-multiplies by correlation, writes dense only the small blocks a Newton
-step factors, and multiplies the strips below them through one window of
-the kernel. A block is one multiply of a strided view of the kernel,
-patched only where it reaches the edge columns. Nothing is cached: each
-solve builds its operators once.
+of S_n reach is Toeplitz too, A[k,l] = kappa[k-l] with kappa = lam
+convolved with S_n's central row. That holds outside the ``_EDGE``
+columns at each end, which assembly computes exactly as sums of shifted
+columns of W (both ends together, so small grids where the ends overlap
+come out whole); they also hold by-parts' boundary term, the only place
+the two methods differ. A ``ToeplitzOperator`` keeps just these O(m)
+numbers: it multiplies by correlation, writes dense only the small
+blocks a Newton step factors, and multiplies the strips below them
+through one window of the kernel. A block is one multiply of a strided
+view of the kernel, patched only where it reaches the edge columns.
+Nothing is cached: each solve builds its operators once.
 """
 
 from __future__ import annotations
@@ -33,13 +37,13 @@ import numpy as np
 
 from .caputo import FractionalOrder, MethodKind, power_weights
 from .special_functions import gamma
-from .stencils import apply_rows, difference_rows_3pt, differentiation_rows
+from .stencils import apply_rows, differentiation_rows
 
 __all__ = ["ToeplitzOperator", "fractional_operator", "operator_for"]
 
 # With stencils up to five wide, the columns that a one-sided row of S_n
-# or D S_n reaches, or whose central window runs off the grid, lie within
-# this many of either end.
+# or the boundary term reaches, or whose central window runs off the
+# grid, lie within this many of either end.
 _EDGE = 6
 
 
@@ -102,13 +106,14 @@ class ToeplitzOperator:
 def fractional_operator(method: MethodKind, effective: float, n: int, h: float, m: int) -> ToeplitzOperator:
     """(m+1)x(m+1) operator A with (A u)_k = D^alpha u(x_k) under ``method``.
 
-    Substitution applies the trapezoid weights of the transformed
-    integral to S_n u: W[k,j] = (w[k-j+1]-w[k-j-1])/2 for 1 <= j <= k
-    (w[-1] = 0), W[k,0] = (w[k]-w[k-1])/2. By-parts applies the trapezoid
-    weights to three-point first differences of S_n u (its
-    summation-by-parts dual form): P[k,j] = h*w[k-j] for 1 <= j < k,
-    P[k,0] = h*w[k]/2, with the boundary term c[k] = w[k] times
-    (S_n u)(0). All weights are divided by Gamma(n+1-alpha).
+    Both methods apply the trapezoid weights of the transformed integral
+    to S_n u: W[k,j] = (w[k-j+1]-w[k-j-1])/2 for 1 <= j <= k (w[-1] = 0),
+    W[k,0] = (w[k]-w[k-1])/2. By-parts applies the trapezoid weights
+    P[k,j] = h*w[k-j] (half at j = 0) to three-point first differences of
+    S_n u and adds the boundary term w[k] (S_n u)(0); by summation by
+    parts that is W S_n minus the rank-one term outer(w, l), with l a
+    quarter of the second difference S_n[0] - 2 S_n[1] + S_n[2]. All
+    weights are divided by Gamma(n+1-alpha).
     """
     if m < 8:
         raise ValueError(f"grid too small for stencil layout (m={m}, need m >= 8)")
@@ -119,21 +124,14 @@ def fractional_operator(method: MethodKind, effective: float, n: int, h: float, 
     B = np.zeros((m + 1, cols.size))
     B[cols, np.arange(cols.size)] = 1.0
     B = apply_rows(rows, B)  # S_n[:, cols]
-    central = rows[1]
-    if method is MethodKind.SUBSTITUTION:
-        # differences of w first: they are small against w itself
-        col0 = 0.5 * np.diff(w, prepend=0.0) / g
-        lam = col0[:-1] + col0[1:]
-        edge = np.zeros_like(B)
-    else:
-        lam = h * w / g
-        col0 = 0.5 * lam
-        edge = np.outer(w / g, B[0])  # boundary term c S_n[0, cols]
-        diff = difference_rows_3pt(h)
-        B = apply_rows(diff, B)  # (D S_n)[:, cols]
-        central = np.convolve(diff[1], central)
-    # A[:, cols] += L B[:, cols] over the few rows of B that reach cols;
-    # column j of L is col0 for j = 0, else lam shifted down by j.
+    edge = np.zeros_like(B)
+    if method is MethodKind.BYPARTS:  # minus the boundary term outer(w, l) / g
+        edge -= np.outer(w / g, (B[0] - 2.0 * B[1] + B[2]) / 4.0)
+    # differences of w first: they are small against w itself
+    col0 = 0.5 * np.diff(w, prepend=0.0) / g
+    lam = col0[:-1] + col0[1:]
+    # A[:, cols] += W B[:, cols] over the few rows of B that reach cols;
+    # column j of W is col0 for j = 0, else lam shifted down by j.
     for j in np.flatnonzero(B.any(axis=1)):
         if j == 0:
             edge += np.outer(col0, B[0])
@@ -141,6 +139,7 @@ def fractional_operator(method: MethodKind, effective: float, n: int, h: float, 
             edge[j:] += np.outer(lam[: m + 1 - j], B[j])
     # the kernel kappa = lam * central has kappa[d + lead] = A[k, l] at
     # k - l = d; rev holds it reversed, zero above the band
+    central = rows[1]
     lead = len(central) // 2
     rev = np.zeros(2 * m + 1)
     rev[: m + lead + 1] = np.convolve(lam, central[::-1])[m + lead :: -1]

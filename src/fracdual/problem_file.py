@@ -3,8 +3,9 @@
 Keys: term.<i>.coeff, term.<i>.alpha, forcing, rhs, T, h, ic.u0,
 ic.du0 (optional), exact (optional), threshold (optional). Expression
 values are double-quoted strings in the expression grammar; ``#``
-starts a comment; unknown keys are rejected (anti-typo). A file emitted
-by dump_problem reparses to an identical specification.
+starts a comment; unknown keys are rejected (anti-typo), and so is a
+term index with a leading zero, a second name for an index. A file
+emitted by dump_problem reparses to an identical specification.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ __all__ = ["ProblemFile", "ProblemFileError", "parse_problem", "parse_problem_te
 
 _SCALAR_KEYS = {"T", "h", "ic.u0", "ic.du0", "threshold"}
 _EXPR_KEYS = {"forcing", "rhs", "exact"}
-_TERM_RE = re.compile(r"^term\.([0-9]+)\.(coeff|alpha)$")
+_TERM_RE = re.compile(r"^term\.(0|[1-9][0-9]*)\.(coeff|alpha)$")
 _REQUIRED = ("forcing", "rhs", "T", "h", "ic.u0")
 
 

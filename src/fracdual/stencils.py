@@ -19,7 +19,6 @@ __all__ = [
     "STENCILS",
     "apply_stencil",
     "differentiation_rows",
-    "difference_rows_3pt",
     "apply_rows",
 ]
 
@@ -94,17 +93,6 @@ def apply_stencil(order: int, placement: str, values, h: float) -> float:
 def differentiation_rows(order: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(forward, central, backward) rows of the order-``order`` derivative layout."""
     return tuple(_scaled_coefficients(order, p, h) for p in ("forward", "central", "backward"))
-
-
-def difference_rows_3pt(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(forward, central, backward) rows of the three-point first differences.
-
-    Central (g[j+1]-g[j-1])/(2h) at interior nodes, three-point one-sided
-    rows at the two ends: the differencing whose trapezoid sum is the
-    summation-by-parts dual of the substitution quadrature.
-    """
-    fwd, _, bwd = differentiation_rows(1, h)
-    return fwd, np.array([-1.0, 0.0, 1.0]) / (2.0 * h), bwd
 
 
 def apply_rows(rows, values: np.ndarray) -> np.ndarray:

@@ -38,8 +38,9 @@ def difference_matrix_3pt(m: int, h: float) -> np.ndarray:
     Central (g[j+1]-g[j-1])/(2h) at interior nodes, three-point one-sided
     rows at the two ends. This is the differencing whose trapezoid sum is
     the summation-by-parts dual of the substitution quadrature; the
-    by-parts operator uses it to turn n-th derivative samples into
-    (n+1)-th ones.
+    dense by-parts oracle uses it to turn n-th derivative samples into
+    (n+1)-th ones. The library has no counterpart: it builds by-parts
+    from the substitution weights and one rank-one boundary term.
     """
     D = np.zeros((m + 1, m + 1))
     D[0, 0:3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)

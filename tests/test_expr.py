@@ -235,6 +235,13 @@ def test_print_parse_is_identity(tree):
     assert parse_expression(to_string(tree)) == tree
 
 
+@pytest.mark.parametrize("value", [-1.0, -0.0, math.inf, -math.inf, math.nan])
+def test_const_rejects_values_the_grammar_cannot_spell(value):
+    # a parsed tree never holds one, so every tree reprints to itself
+    with pytest.raises(ValueError, match="finite and not negative"):
+        Const(value)
+
+
 @given(
     # overflow-free subset: +,-,* over bounded values cannot reach inf-inf,
     # so any NaN here would be a genuine silent domain failure; gamma

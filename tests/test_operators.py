@@ -179,3 +179,29 @@ def test_byparts_tracks_substitution_on_smooth_data():
     ds = np.max(np.abs((B - S) @ u))
     magnitude = np.max(np.abs(S @ u))
     assert ds <= 1e-5 * max(1.0, magnitude)
+
+
+# l for S_1 and S_2, times h^n: the by-parts boundary term reads u^(n)(0)
+# through these five samples, l.u = (h^2/3) u'''(0) and (23/48) h^2 u''''(0)
+_BOUNDARY_ROW = {1: -np.array([17, -52, 54, -20, 1]) / 48, 2: 23 / 48 * np.array([1, -4, 6, -4, 1])}
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.3, 1.7])
+@pytest.mark.parametrize("m", [8, 40, 1000])
+def test_methods_differ_by_rank_one_boundary_term(alpha, m):
+    # summation by parts: A_subst - A_byparts = b l^T with b = w / Gamma(n+1-alpha)
+    o = FractionalOrder(alpha)
+    n, h = o.n, 1.0 / m
+    b = power_weights(n - o.effective, h, m) / gamma(n + 1 - o.effective)
+    ell = np.zeros(m + 1)
+    ell[:5] = _BOUNDARY_ROW[n] / h**n
+    want = np.outer(b, ell)
+    got = dense_operator(MethodKind.SUBSTITUTION, o, h, m) - dense_operator(MethodKind.BYPARTS, o, h, m)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # built that way: one kernel, and edge columns that differ only on 0-4
+    subst = operator_for(MethodKind.SUBSTITUTION, o, h, m)
+    byparts = operator_for(MethodKind.BYPARTS, o, h, m)
+    assert np.array_equal(subst.rev, byparts.rev)
+    assert np.array_equal(subst.cols, byparts.cols)
+    differs = (subst.edge != byparts.edge).any(axis=0)
+    assert np.array_equal(subst.cols[differs], np.arange(5))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +58,13 @@ def test_fixture_round_trip(name):
 def test_unknown_key_rejected():
     with pytest.raises(ProblemFileError, match="unknown key"):
         parse_problem_text(MINIMAL + "forcign = \"0\"\n")
+
+
+@pytest.mark.parametrize("key", ["term.00.coeff", "term.01.alpha"])
+def test_non_canonical_term_index_rejected(key):
+    # a second spelling of index 0 must not override term.0 silently
+    with pytest.raises(ProblemFileError, match=f"unknown key '{re.escape(key)}'"):
+        parse_problem_text(MINIMAL + f'{key} = "2"\n')
 
 
 def test_duplicate_key_rejected():

@@ -10,7 +10,6 @@ from fracdual.stencils import (
     STENCILS,
     apply_rows,
     apply_stencil,
-    difference_rows_3pt,
     differentiation_rows,
 )
 
@@ -180,15 +179,11 @@ def test_difference_matrix_3pt():
     assert np.allclose(D @ np.ones(m + 1), 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, None])
+@pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("m", [8, 9, 30])
 def test_apply_rows_matches_matrices(order, m):
-    # order None is the three-point difference layout
     h = 0.1
-    if order is None:
-        rows, M = difference_rows_3pt(h), difference_matrix_3pt(m, h)
-    else:
-        rows, M = differentiation_rows(order, h), differentiation_matrix(m, h, order)
+    rows, M = differentiation_rows(order, h), differentiation_matrix(m, h, order)
     V = np.random.default_rng(4).normal(size=(m + 1, 3))
     assert np.allclose(apply_rows(rows, V), M @ V, rtol=1e-13, atol=1e-10)
     assert np.allclose(apply_rows(rows, V[:, 0]), M @ V[:, 0], rtol=1e-13, atol=1e-10)

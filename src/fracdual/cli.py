@@ -84,7 +84,10 @@ def cmd_solve(args) -> int:
     if args.method == "dual":
         report = dual_solve(problem.equation, cfg, threshold=problem.threshold)
         sols = [report.sol_subst, report.sol_byparts]
-        footer = f"verdict={report.verdict} deviation={_fmt(report.deviation)} threshold={_fmt(report.threshold)}"
+        footer = (
+            f"verdict={report.verdict} deviation={_fmt(report.deviation)} threshold={_fmt(report.threshold)}"
+            f" iterations={report.sol_subst.newton_iters},{report.sol_byparts.newton_iters}"
+        )
     else:
         sol = solve(problem.equation, cfg, method=_METHODS[args.method])
         sols = [sol]

@@ -384,7 +384,9 @@ def _newton(ws: _Workspace, u0: np.ndarray):
     return u, r, iters, None if _converged(r, u, floor) else f"no convergence in {NEWTON_MAX_ITER} iterations"
 
 
-def solve(eq: EquationSpec, cfg: SolverConfig, method: MethodKind) -> Solution:
+def solve(
+    eq: EquationSpec, cfg: SolverConfig, method: MethodKind, *, start: Optional[np.ndarray] = None
+) -> Solution:
     """Damped-Newton solve of the collocation system.
 
     Every outcome is a Solution: one that did not converge carries the
@@ -392,11 +394,18 @@ def solve(eq: EquationSpec, cfg: SolverConfig, method: MethodKind) -> Solution:
     could be evaluated. The initial guess is the constant ic_u0, retried
     once from the linear profile ic_u0 + ic_du0*x when a first-derivative
     condition exists; the last start that left an iterate is reported.
+    ``start``, m + 1 node values, is tried before both; only where Newton
+    begins changes, not the system it solves or its stop rule.
     """
     ws = _Workspace(eq, cfg, method)
     guesses = [np.full(ws.m + 1, float(eq.ic_u0))]
     if eq.ic_du0 is not None and eq.ic_du0 != 0.0:
         guesses.append(eq.ic_u0 + eq.ic_du0 * ws.x)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (ws.m + 1,):
+            raise ValueError(f"start must hold {ws.m + 1} node values, got shape {start.shape}")
+        guesses.insert(0, start)
     results = []
     for guess in guesses:
         results.append(_newton(ws, guess))

@@ -86,6 +86,18 @@ def test_solve_dual_verdict_line(tiny_problem, tmp_path):
     assert len(lines) == 1 + 21 + 1  # header, 21 nodes, verdict
 
 
+def test_dual_verdict_line_counts_both_methods_newton_steps(tmp_path):
+    # by-parts starts from the converged substitution answer
+    fixture = resources.files("fracdual.fixtures").joinpath("quasilinear_tan.prob").read_text("utf-8")
+    path = tmp_path / "tan.prob"
+    path.write_text(fixture, encoding="utf-8")
+    code, text = run(["solve", "--problem", str(path), "--method", "dual"], tmp_path / "q.csv")
+    assert code == 0
+    footer = text.strip().split("\n")[-1]
+    assert footer.startswith("verdict=Reliable deviation=")
+    assert footer.endswith(" iterations=4,2")
+
+
 def test_dual_verdict_line_domain_failure(tmp_path):
     path = tmp_path / "undefined.prob"
     path.write_text(TINY_PROBLEM.replace('forcing = "x^1.2', 'forcing = "ln(x - 2) + x^1.2'), encoding="utf-8")

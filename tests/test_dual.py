@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracdual.bench import derivative_table
+from fracdual import dual
+from fracdual.bench import FIXTURES, derivative_table
 from fracdual.caputo import FractionalOrder, GridFunction, MethodKind
 from fracdual.dual import (
     VerdictKind,
@@ -273,6 +274,41 @@ def test_dual_report_carries_both_solutions(solved_fixture):
     assert report.sol_subst.method is MethodKind.SUBSTITUTION
     assert report.sol_byparts.method is MethodKind.BYPARTS
     assert report.threshold == default_threshold(0.01)
+
+
+def _cold_dual(problem, monkeypatch):
+    """dual_solve with by-parts started cold, as if it were not seeded."""
+    monkeypatch.setattr(dual, "solve", lambda eq, cfg, method, start=None: solve(eq, cfg, method))
+    return dual_solve(problem.equation, problem.config(), threshold=problem.threshold)
+
+
+# On these linear fixtures the cold start u = 0 makes the Jacobian's
+# forward difference of rhs = u exact; at the seed it carries ~3e-10
+# rounding, so the first seeded step stops just above the convergence
+# test and a second follows.
+_SEEDED_SECOND_STEP = ("linear_x12", "linear_sqrt")
+
+
+@pytest.mark.parametrize("name", [f for f in FIXTURES if f != "semilinear_unstable"])
+def test_seeding_byparts_changes_only_where_newton_starts(name, solved_fixture, monkeypatch):
+    problem, report = solved_fixture(name)
+    cold = _cold_dual(problem, monkeypatch)
+    assert report.sol_subst.converged
+    seeded, unseeded = report.sol_byparts, cold.sol_byparts
+    scale = max(1.0, float(np.max(np.abs(unseeded.u.values))))
+    assert np.max(np.abs(seeded.u.values - unseeded.u.values)) / scale <= 1e-6
+    assert report.verdict == cold.verdict
+    assert seeded.newton_iters <= unseeded.newton_iters + (name in _SEEDED_SECOND_STEP)
+
+
+def test_failed_substitution_leaves_byparts_cold(solved_fixture):
+    problem, report = solved_fixture("semilinear_unstable")
+    cold = solve(problem.equation, problem.config(), MethodKind.BYPARTS)
+    seeded = report.sol_byparts
+    assert not report.sol_subst.converged
+    assert seeded.u.values.tobytes() == cold.u.values.tobytes()
+    assert seeded.residual.values.tobytes() == cold.residual.values.tobytes()
+    assert (seeded.newton_iters, seeded.failure) == (cold.newton_iters, cold.failure)
 
 
 # Expressions that overflow, divide by zero or leave their domain on

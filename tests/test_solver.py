@@ -444,6 +444,31 @@ class TestSolve:
         assert sol.converged
         assert sol.newton_iters == iters
 
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_start_that_cannot_be_evaluated_falls_back_to_the_cold_start(self, method):
+        # ln(u) is undefined at every node of the start u = -1, defined at
+        # the cold start u = 1; the exact solution is u = 1 + x
+        eq = simple_eq(forcing="ln(1 + x) - 2*sqrt(x/pi)", rhs="ln(u)", u0=1.0)
+        cfg = SolverConfig(h=0.1)
+        assert _newton(_Workspace(eq, cfg, method), np.full(11, -1.0))[0] is None
+        cold = solve(eq, cfg, method)
+        seeded = solve(eq, cfg, method, start=np.full(11, -1.0))
+        assert cold.converged
+        assert seeded.u.values.tobytes() == cold.u.values.tobytes()
+        assert (seeded.newton_iters, seeded.failure) == (cold.newton_iters, cold.failure)
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_start_at_the_root_takes_no_step(self, method):
+        eq, cfg = load_fixture("quasilinear_tan").equation, SolverConfig(h=0.01)
+        cold = solve(eq, cfg, method)
+        seeded = solve(eq, cfg, method, start=cold.u.values)
+        assert seeded.newton_iters == 0 and seeded.converged
+        assert seeded.u.values.tobytes() == cold.u.values.tobytes()
+
+    def test_start_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="start must hold 11 node values"):
+            solve(simple_eq(), SolverConfig(h=0.1), MethodKind.SUBSTITUTION, start=np.zeros(10))
+
     def test_no_method_rejected(self):
         with pytest.raises(TypeError):
             solve(simple_eq(), SolverConfig(h=0.1))

@@ -174,8 +174,7 @@ class _Workspace:
         self.x = np.arange(m + 1) * h
         self.n_ic = eq.n_ic
         self.ops = [operator_for(method, t.order, h, m) for t in eq.terms]
-        self.abs_ops = [abs(A) for A in self.ops]
-        self.abs_row_sums = [float(np.max(absA @ np.ones(m + 1))) for absA in self.abs_ops]
+        self.abs_row_sums = [abs(A) @ np.ones(m + 1) for A in self.ops]
         self.strip_products = [A.strip_product(_BLOCK) for A in self.ops]
         self.xc = self.x[self.n_ic :]
         # u(0) and u'(0) rows on u[:3], divided by the denominator after the product
@@ -191,38 +190,39 @@ class _Workspace:
         g = _tree_eval(eq.rhs, xc, uc, nic)
         return f, g, [_tree_eval(t.coeff, xc, uc, nic) for t in eq.terms]
 
+    def _sum(self, u, f, g, Ks, products, ic_rows, ic_vals) -> np.ndarray:
+        """The residual's rows from its parts: ic_rows @ u[:3] / ic_denom - ic_vals,
+        then f - g + K_i * products_i, term by term, at the collocation nodes.
+        The rounding floor and the Jacobian's diagonal are this sum of other parts."""
+        nic = self.n_ic
+        r = np.empty(self.m + 1)
+        r[:nic] = ic_rows @ u[:3] / self.ic_denom - ic_vals
+        acc = f - g
+        for K, Au in zip(Ks, products):
+            acc = acc + K * Au[nic:]
+        r[nic:] = acc
+        return r
+
+    # overflow makes a non-finite residual, which the Newton loop rejects
+    @np.errstate(over="ignore", invalid="ignore")
     def residual_terms(self, u: np.ndarray):
         """The residual of u, the parts it was formed from (f, g, every K_i
         and every product A_i @ u), and its rounding floor as a function
         ``floor(exact)``, formed only when called: see ``floor_scale``."""
-        nic = self.n_ic
-        r = np.empty(self.m + 1)
-        r[:nic] = self.ic_rows @ u[:3] / self.ic_denom - self.ic_vals
-        f, g, Ks = self._parts(u[nic:])
-        # overflow makes a non-finite residual, which the Newton loop rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            products = [A @ u for A in self.ops]
-            acc = f - g
-            for K, Au in zip(Ks, products):
-                acc = acc + K * Au[nic:]
-        r[nic:] = acc
-        return r, (f, g, Ks, products), lambda exact: self.floor_scale(u, f, g, Ks, exact)
+        parts = (*self._parts(u[self.n_ic :]), [A @ u for A in self.ops])
+        r = self._sum(u, *parts, self.ic_rows, self.ic_vals)
+        return r, parts, lambda exact: self.floor_scale(u, *parts[:3], exact)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def floor_scale(self, u: np.ndarray, f, g, Ks, exact: bool) -> float:
-        """The scale the residual's sums cancel over, the same sums of absolute
-        values with the condition rows', or unless ``exact`` a bound on it: each
-        row of |A_i| @ |u| is at most R_i max|u|, R_i = ``abs_row_sums[i]``."""
-        nic, au = self.n_ic, np.abs(u)
-        ic_scale = np.abs(self.ic_rows) @ au[:3] / self.ic_denom + np.abs(self.ic_vals)
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.abs(f) + np.abs(g)
-            if exact:
-                for K, absA in zip(Ks, self.abs_ops):
-                    scale = scale + np.abs(K) * (absA @ au)[nic:]
-            else:  # 1 + 1e-9 covers the rounding of both sides' sums
-                terms = sum(np.max(np.abs(K)) * R for K, R in zip(Ks, self.abs_row_sums)) * np.max(au)
-                scale = (np.max(scale) + terms) * (1.0 + 1e-9)
-        return max(float(np.max(scale)), float(np.max(ic_scale)))
+        """The scale the residual's sums cancel over: the largest row of their sum
+        over absolute values (x - -|y| is x + |y|), or unless ``exact`` a bound, each
+        row of |A_i| @ |u| taken as that row of ``abs_row_sums[i]`` times max|u|."""
+        au = np.abs(u)
+        products = [abs(A) @ au for A in self.ops] if exact else [R * np.max(au) for R in self.abs_row_sums]
+        Ks = [np.abs(K) for K in Ks]
+        scale = self._sum(au, np.abs(f), -np.abs(g), Ks, products, np.abs(self.ic_rows), -np.abs(self.ic_vals))
+        return float(np.max(scale)) * (1.0 if exact else 1.0 + 1e-9)  # 1e-9 covers the sums' rounding
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         return self.residual_terms(u)[0]
@@ -233,20 +233,19 @@ class _Workspace:
         multiply per term, and below(i, W) = W @ J[i:, i - _BLOCK : i].T
         (i >= _BLOCK), from the operators' windows without writing that strip.
 
-        Expression trees act pointwise, so the finite-difference column j
-        differs from the linear part only in its diagonal entry; the
-        closed form below reproduces the column-by-column differences
-        without m+1 full residual evaluations. ``parts`` are those of
-        ``residual_terms(u)``.
+        Expression trees act pointwise, so difference column j departs from
+        sum_i K_i A_i (``block``) only on the diagonal, by ``_sum`` of the
+        probe's differences of f, g and K_i against A_i u + eps diag(A_i),
+        over eps. ``parts`` are those of ``residual_terms(u)``.
         """
         nic, m = self.n_ic, self.m
-        epsc = 1e-7 * (1.0 + np.abs(u[nic:]))
+        up = u + 1e-7 * (1.0 + np.abs(u))
+        eps = up - u  # the step as represented, so an affine part differences exactly
         f, g, Ks, products = parts
-        fp, gp, Kps = self._parts(u[nic:] + epsc)
-        diag = np.zeros(m + 1)
-        for K, Kp, A, Au in zip(Ks, Kps, self.ops, products):
-            diag[nic:] += (Kp - K) / epsc * Au[nic:] + (Kp - K) * A.diagonal()[nic:]
-        diag[nic:] += (fp - f) / epsc - (gp - g) / epsc
+        fp, gp, Kps = self._parts(up[nic:])
+        dKs = [Kp - K for K, Kp in zip(Ks, Kps)]
+        shifted = [Au + eps * A.diagonal() for A, Au in zip(self.ops, products)]
+        diag = self._sum(np.zeros(3), fp - f, gp - g, dKs, shifted, self.ic_rows, np.zeros(nic)) / eps
         Ks = [np.r_[np.zeros(nic), K] for K in Ks]  # the condition rows are written over
         ic = np.zeros((nic, m + 1))
         ic[:, :3] = self.ic_rows / self.ic_denom[:, None]

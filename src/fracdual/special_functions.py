@@ -1,9 +1,9 @@
 """Gamma and beta functions.
 
-Every quadrature weight and manufactured solution in this package runs
-through these two functions, so they are implemented locally (Lanczos
-rational approximation, g = 607/128, 15 terms) rather than delegated,
-and beta goes through log-gamma to stay finite for large arguments.
+Every quadrature weight, analytic power derivative and expression
+``gamma(...)`` runs through gamma, implemented locally (Lanczos rational
+approximation, g = 607/128, 15 terms) rather than delegated. beta, which
+nothing in the package calls, goes through log-gamma to stay finite.
 Each function has one numpy path: a scalar runs through it as a 0-d
 array and comes back as a float, bit for bit what an array holding it
 gives, so the pole, NaN, reflection and overflow rules exist once.

@@ -254,6 +254,31 @@ def test_convergence_csv(tmp_path):
     assert 1.5 <= last_order <= 2.5
 
 
+def test_convergence_of_a_problem_file(tmp_path):
+    # solve mode: the sup error against the file's exact -x^2 at each step,
+    # whose order is 1 + n - alpha = 1.1 for the highest order 0.9
+    path = resources.files("fracdual.fixtures").joinpath("quasilinear_tan_exact.prob")
+    code, text = run(["convergence", "--problem", str(path), "--h-list", "4e-3,2e-3,1e-3"], tmp_path / "conv.csv")
+    assert code == 0
+    lines = text.strip().split("\n")
+    assert lines[0] == "h,error,observed_order"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(row[0]) for row in rows] == [4e-3, 2e-3, 1e-3]
+    assert rows[0][2] == ""  # no order for the first step
+    errors = [float(row[1]) for row in rows]
+    assert errors[0] > errors[1] > errors[2] > 0.0
+    assert all(1.05 <= float(row[2]) <= 1.2 for row in rows[1:])
+
+
+def test_convergence_of_a_problem_file_needs_exact(capsys):
+    path = resources.files("fracdual.fixtures").joinpath("quasilinear_tan.prob")
+    code = main(["convergence", "--problem", str(path), "--h-list", "4e-3,2e-3,1e-3"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: problem-file: convergence study needs an 'exact' entry in the problem file\n"
+    )
+
+
 def test_bad_problem_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.prob"
     bad.write_text("nonsense = 3\n", encoding="utf-8")

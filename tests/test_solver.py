@@ -232,6 +232,20 @@ class TestResidual:
         assert np.max(np.abs(J - fd)) <= 1e-7 * np.max(np.abs(J))
 
     @pytest.mark.parametrize("method", list(MethodKind))
+    @pytest.mark.parametrize("alpha", [0.6, 1.4])
+    def test_jacobian_differences_an_affine_rhs_exactly(self, method, alpha):
+        # the probe's step is taken as represented, up - u, so g = u
+        # differences to exactly 1 at a nonzero iterate, and with K = 1 the
+        # diagonal is the operator's own entry less 1
+        eq = simple_eq(alpha=alpha, forcing="sin(x)", rhs="u", du0=0.5 if alpha > 1 else None)
+        ws = _Workspace(eq, SolverConfig(h=0.05), method)
+        u = 0.3 + 0.5 * ws.x - 0.7 * np.sin(3 * ws.x)
+        J = ws.jacobian(u, ws.residual_terms(u)[1])[0](0, ws.m + 1, 0, ws.m + 1)
+        (A,) = ws.ops
+        for k in range(ws.n_ic, ws.m + 1):
+            assert J[k, k] == A.block(k, k + 1, k, k + 1)[0, 0] - 1.0
+
+    @pytest.mark.parametrize("method", list(MethodKind))
     @pytest.mark.parametrize("n_ic", [1, 2])
     @pytest.mark.parametrize("scale", ["1", "1e-9"], ids=["collocation_row_max", "condition_row_max"])
     def test_rounding_floor_sums_absolute_values(self, method, n_ic, scale):
@@ -294,6 +308,23 @@ class TestResidual:
         for method in MethodKind:
             solve(problem.equation, problem.config(), method)
         assert len(checks) >= 2
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_floor_bound_is_never_below_the_exact_scale(self, name, solved_fixture):
+        # every convergence test relies on this: the bound only decides
+        # when the exact floor is formed; checked at the cold starts and
+        # at perturbed final iterates of both methods
+        problem, report = solved_fixture(name)
+        eq = problem.equation
+        for sol in (report.sol_subst, report.sol_byparts):
+            ws = _Workspace(eq, problem.config(), sol.method)
+            starts = [np.full(ws.m + 1, eq.ic_u0), eq.ic_u0 + (eq.ic_du0 or 0.5) * ws.x]
+            if sol.u is not None:
+                u = sol.u.values
+                starts += [u + 1e-6 * np.sin(7 * ws.x), u * (1.0 + 1e-3 * np.cos(5 * ws.x))]
+            for u in starts:
+                floor = ws.residual_terms(u)[2]
+                assert floor(exact=False) >= floor(exact=True) > 0.0
 
     def test_domain_error_reports_node(self):
         eq = simple_eq(rhs="ln(u)")
@@ -367,6 +398,18 @@ class TestSolve:
         sol = report.sol_subst
         sup_u = float(np.max(np.abs(sol.u.values)))
         assert np.max(np.abs(sol.residual.values)) <= 1e-9 * (1 + sup_u)
+
+    def test_iteration_limit_keeps_the_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
+        problem = load_fixture("quasilinear_tan")
+        cfg = problem.config()
+        sol = solve(problem.equation, cfg, MethodKind.SUBSTITUTION)
+        assert (sol.newton_iters, sol.failure) == (1, "no convergence in 1 iterations")
+        ws = _Workspace(problem.equation, cfg, MethodKind.SUBSTITUTION)
+        start = np.full(ws.m + 1, problem.equation.ic_u0)
+        assert not np.array_equal(sol.u.values, start)
+        assert np.array_equal(sol.residual.values, ws.residual(sol.u.values))
+        assert np.max(np.abs(sol.residual.values)) < np.max(np.abs(ws.residual(start)))
 
     def test_non_convergence_is_data(self, solved_fixture):
         _problem, report = solved_fixture("semilinear_unstable")

@@ -22,11 +22,11 @@ columns at each end, which assembly computes exactly as sums of shifted
 columns of W (both ends together, so small grids where the ends overlap
 come out whole); they also hold by-parts' boundary term, the only place
 the two methods differ. A ``ToeplitzOperator`` keeps just these O(m)
-numbers: it multiplies by correlation, writes dense only the small
-blocks a Newton step factors, and multiplies the strips below them
-through one window of the kernel. A block is one multiply of a strided
-view of the kernel, patched only where it reaches the edge columns.
-Nothing is cached: each solve builds its operators once.
+numbers and the kernel's spectrum: it multiplies by FFT, writes dense
+only the small blocks a Newton step factors, and multiplies the strips
+below them through one window of the kernel. A block is one multiply of
+a strided view of the kernel, patched only where it reaches the edge
+columns. Nothing is cached: each solve builds its operators once.
 """
 
 from __future__ import annotations
@@ -51,22 +51,28 @@ _EDGE = 6
 class ToeplitzOperator:
     """(m+1)x(m+1) matrix with row k rev[m-k : 2m-k+1], apart from the
     columns ``cols``, which hold ``edge``. The arrays are read-only; the
-    view ``_toeplitz[k, l] = rev[m - k + l]`` has every column Toeplitz."""
+    view ``_toeplitz[k, l] = rev[m - k + l]`` has every column Toeplitz,
+    and ``_spectrum`` is the rfft of rev reversed at a length over 2m."""
 
     rev: np.ndarray
     cols: np.ndarray
     edge: np.ndarray
 
     def __post_init__(self):
-        for a in (self.rev, self.cols, self.edge):
-            a.setflags(write=False)
         windows = np.lib.stride_tricks.sliding_window_view(self.rev, self.edge.shape[0])
         object.__setattr__(self, "_toeplitz", windows[::-1])
+        object.__setattr__(self, "_spectrum", np.fft.rfft(self.rev[::-1], 1 << self.rev.size.bit_length()))
+        for a in (self.rev, self.cols, self.edge, self._spectrum):
+            a.setflags(write=False)
 
     def __matmul__(self, u) -> np.ndarray:
+        """Off ``cols``, row k is entry m + k of rev reversed convolved with u,
+        exact at any cyclic length over 2m. Row 0 is empty (w[0] = 0): an exact 0."""
         v = np.array(u, dtype=float)
         v[self.cols] = 0.0
-        return np.correlate(self.rev, v)[::-1] + self.edge @ np.take(u, self.cols)
+        out = np.fft.irfft(self._spectrum * np.fft.rfft(v, 2 * self._spectrum.size - 2))[v.size - 1 : 2 * v.size - 1]
+        out[0] = 0.0
+        return out + self.edge @ np.take(u, self.cols)
 
     def __abs__(self) -> ToeplitzOperator:
         return ToeplitzOperator(np.abs(self.rev), self.cols, np.abs(self.edge))

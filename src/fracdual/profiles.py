@@ -33,9 +33,6 @@ class DerivativeProfile:
     derivative: Callable[[int, np.ndarray], np.ndarray]  # d-th derivative samples, d >= 0
     oracle: Callable[[FractionalOrder, float], float]
 
-    def value(self, x):
-        return self.derivative(0, x)
-
 
 def _tan_profile() -> DerivativeProfile:
     def deriv(d, x):

@@ -174,7 +174,6 @@ class _Workspace:
         self.x = np.arange(m + 1) * h
         self.n_ic = eq.n_ic
         self.ops = [operator_for(method, t.order, h, m) for t in eq.terms]
-        self.abs_row_sums = [abs(A) @ np.ones(m + 1) for A in self.ops]
         self.strip_products = [A.strip_product(_BLOCK) for A in self.ops]
         self.xc = self.x[self.n_ic :]
         # u(0) and u'(0) rows on u[:3], divided by the denominator after the product
@@ -208,21 +207,20 @@ class _Workspace:
     def residual_terms(self, u: np.ndarray):
         """The residual of u, the parts it was formed from (f, g, every K_i
         and every product A_i @ u), and its rounding floor as a function
-        ``floor(exact)``, formed only when called: see ``floor_scale``."""
+        ``floor()``, formed only when called: see ``floor_scale``."""
         parts = (*self._parts(u[self.n_ic :]), [A @ u for A in self.ops])
         r = self._sum(u, *parts, self.ic_rows, self.ic_vals)
-        return r, parts, lambda exact: self.floor_scale(u, *parts[:3], exact)
+        return r, parts, lambda: self.floor_scale(u, *parts[:3])
 
     @np.errstate(over="ignore", invalid="ignore")
-    def floor_scale(self, u: np.ndarray, f, g, Ks, exact: bool) -> float:
-        """The scale the residual's sums cancel over: the largest row of their sum
-        over absolute values (x - -|y| is x + |y|), or unless ``exact`` a bound, each
-        row of |A_i| @ |u| taken as that row of ``abs_row_sums[i]`` times max|u|."""
+    def floor_scale(self, u: np.ndarray, f, g, Ks) -> float:
+        """The scale the residual's sums cancel over: the largest row of
+        their sum over absolute values (x - -|y| is x + |y|)."""
         au = np.abs(u)
-        products = [abs(A) @ au for A in self.ops] if exact else [R * np.max(au) for R in self.abs_row_sums]
+        products = [abs(A) @ au for A in self.ops]
         Ks = [np.abs(K) for K in Ks]
         scale = self._sum(au, np.abs(f), -np.abs(g), Ks, products, np.abs(self.ic_rows), -np.abs(self.ic_vals))
-        return float(np.max(scale)) * (1.0 if exact else 1.0 + 1e-9)  # 1e-9 covers the sums' rounding
+        return float(np.max(scale))
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         return self.residual_terms(u)[0]
@@ -330,11 +328,9 @@ def assemble_residual(
 
 
 def _converged(r: np.ndarray, u: np.ndarray, floor) -> bool:
-    # the floor's bound rules most iterates out before its exact scale is formed
-    rmax, tiny = float(np.max(np.abs(r))), RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps
-    return rmax <= NEWTON_TOL * (1.0 + float(np.max(np.abs(u)))) or (
-        rmax <= tiny * floor(False) and rmax <= tiny * floor(True)
-    )
+    # the floor is formed only when the tolerance test fails
+    rmax, tol = float(np.max(np.abs(r))), NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
+    return rmax <= tol or rmax <= RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * floor()
 
 
 def _newton(ws: _Workspace, u0: np.ndarray):

@@ -91,6 +91,20 @@ def test_matches_dense_product(method, alpha, h, m):
 
 
 @pytest.mark.parametrize("method", list(MethodKind))
+@pytest.mark.parametrize("alpha", [0.3, 1.7])
+@pytest.mark.parametrize("m", [1023, 1024, 2047, 2048])
+def test_products_hold_where_the_cyclic_length_steps(method, alpha, m):
+    # the product is a cyclic convolution of a power-of-two length over 2m;
+    # 2m + 1 falls just under or just over a power of two on these grids
+    op = operator_for(method, FractionalOrder(alpha), 1.0 / m, m)
+    A = op.block(0, m + 1, 0, m + 1)
+    u = np.random.default_rng(m).normal(size=m + 1)
+    scale = np.max(np.abs(A) @ np.abs(u))
+    assert np.max(np.abs(op @ u - A @ u)) <= 1e-12 * scale
+    assert np.max(np.abs(abs(op) @ np.abs(u) - np.abs(A) @ np.abs(u))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("method", list(MethodKind))
 @pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["n=1", "n=2"])
 @pytest.mark.parametrize("m", [8, 33, 36, 100])
 def test_panel_diagonal_blocks_match_dense(method, alpha, m):
@@ -144,6 +158,7 @@ def test_byparts_rows_match_scalar_op(alpha):
     for k in range(1, m + 1):
         want = caputo_byparts(float(gn[0]), GridFunction(h, gp), o, k)
         assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert got[0] == 0.0
 
 
 @pytest.mark.parametrize("method", list(MethodKind))

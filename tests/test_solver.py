@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fracdual import solver
-from fracdual.bench import FIXTURES, load_fixture
+from fracdual.bench import load_fixture
 from fracdual.caputo import FractionalOrder, GridFunction, MethodKind
 from fracdual.expr import evaluate, parse_expression
 from fracdual.operators import operator_for
@@ -21,8 +21,6 @@ from fracdual.solver import (
     _BANDWIDTH,
     DAMPING_MIN,
     MAX_GRID_STEPS,
-    NEWTON_TOL,
-    RESIDUAL_FLOOR_FACTOR,
     EquationSpec,
     ResidualDomainError,
     SolverConfig,
@@ -284,47 +282,8 @@ class TestResidual:
             du0 = np.abs(fwd.coefficients) @ np.abs(u[:3]) / (fwd.denominator * h)
             expected = max(expected, float(du0) + abs(eq.ic_du0))
         assert (expected == float(np.max(acc))) == (scale == "1")
-        got = _Workspace(eq, SolverConfig(h=h), method).residual_terms(u)[2](exact=True)
+        got = _Workspace(eq, SolverConfig(h=h), method).residual_terms(u)[2]()
         assert abs(got - expected) <= 1e-14 * expected
-
-    @pytest.mark.parametrize("name", FIXTURES)
-    def test_floor_bound_decides_as_the_exact_scale(self, name, monkeypatch):
-        # at every convergence check of both methods' solves, the cheap bound
-        # is at least the exact scale, and the lazy test decides as the eager
-        # one that forms the exact scale every time
-        converged, checks = solver._converged, []
-
-        def checked(r, u, floor):
-            exact = floor(exact=True)
-            assert floor(exact=False) >= exact
-            limit = NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
-            eager = float(np.max(np.abs(r))) <= max(limit, RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * exact)
-            checks.append(converged(r, u, floor))
-            assert checks[-1] == eager
-            return checks[-1]
-
-        monkeypatch.setattr(solver, "_converged", checked)
-        problem = load_fixture(name)
-        for method in MethodKind:
-            solve(problem.equation, problem.config(), method)
-        assert len(checks) >= 2
-
-    @pytest.mark.parametrize("name", FIXTURES)
-    def test_floor_bound_is_never_below_the_exact_scale(self, name, solved_fixture):
-        # every convergence test relies on this: the bound only decides
-        # when the exact floor is formed; checked at the cold starts and
-        # at perturbed final iterates of both methods
-        problem, report = solved_fixture(name)
-        eq = problem.equation
-        for sol in (report.sol_subst, report.sol_byparts):
-            ws = _Workspace(eq, problem.config(), sol.method)
-            starts = [np.full(ws.m + 1, eq.ic_u0), eq.ic_u0 + (eq.ic_du0 or 0.5) * ws.x]
-            if sol.u is not None:
-                u = sol.u.values
-                starts += [u + 1e-6 * np.sin(7 * ws.x), u * (1.0 + 1e-3 * np.cos(5 * ws.x))]
-            for u in starts:
-                floor = ws.residual_terms(u)[2]
-                assert floor(exact=False) >= floor(exact=True) > 0.0
 
     def test_domain_error_reports_node(self):
         eq = simple_eq(rhs="ln(u)")

@@ -10,7 +10,9 @@ Integer orders are handled by the tiny-deviation rule: alpha = n is
 replaced by n - 1e-14, which leaves n - 1 <= effective_alpha < n.
 
 Both rules scale the same power weights (i*h)^(n-alpha) by
-1/Gamma(n+1-alpha); ``power_weights`` keeps only its last table.
+1/Gamma(n+1-alpha); ``power_weights`` keeps only its last table. Each
+rule's sum is written once, over a range of nodes, for the whole 0..t or
+for one block of a derivative row.
 """
 
 from __future__ import annotations
@@ -109,21 +111,45 @@ class GridFunction:
         return self.h == other.h and np.array_equal(self.values, other.values)
 
 
-# One entry: a derivative row asks for the same weights twice, once per
-# rule, while a solve builds each operator once and reads the weights
-# only then.
+def step_powers(p: float, h: float, j: np.ndarray) -> np.ndarray:
+    """(j*h)**p for float j >= 0 as exp(p*log(j*h)); with p > 0, j = 0 gives exactly 0."""
+    with np.errstate(divide="ignore"):
+        return np.exp(p * np.log(j * h))
+
+
+# One entry: a dual solve builds its two operators from the same table.
 @lru_cache(maxsize=1)
 def power_weights(p: float, h: float, m: int) -> np.ndarray:
-    """w[i] = (i*h)**p for i = 0..m, with w[0] = 0 exactly.
-
-    Computed as exp(p*log(i*h)); the i = 0 entry is short-circuited so
-    the quadratures never evaluate 0**positive.
-    """
-    w = np.zeros(m + 1)
-    i = np.arange(1, m + 1, dtype=float)
-    w[1:] = np.exp(p * np.log(i * h))
+    """w[i] = (i*h)**p for i = 0..m, with w[0] = 0 exactly."""
+    w = step_powers(p, h, np.arange(m + 1, dtype=float))
     w.setflags(write=False)
     return w
+
+
+def substitution_sum(g: np.ndarray, u: np.ndarray) -> float:
+    """Substitution sum between the nodes x_k0..x_k1 holding f^(n) in ``g``, (t-x)^(n-alpha) in ``u``.
+
+    Over 0..t, divided by Gamma(n+1-alpha), it is the rule's value.
+    """
+    avg = 0.5 * (g[1:] + g[:-1])
+    du = u[:-1] - u[1:]  # u_k - u_{k+1}
+    return float(np.dot(avg, du))
+
+
+def byparts_sum(gp: np.ndarray, u: np.ndarray, h: float, nth_deriv_at_0=None) -> float:
+    """By-parts sum on the nodes x_k0..x_k1-1 holding f^(n+1) in ``gp``, (t-x)^(n-alpha) in ``u``.
+
+    A range from x_0 passes f^(n)(0), which adds the boundary term and
+    halves x_0's weight. Over 0..t-h, divided by Gamma(n+1-alpha), it is
+    the rule's value.
+    """
+    boundary = s = 0.0
+    if nth_deriv_at_0 is not None:
+        boundary, s = nth_deriv_at_0 * u[0], u[0] * gp[0]
+        gp, u = gp[1:], u[1:]
+    if gp.size:
+        s += 2.0 * float(np.dot(u, gp))
+    return boundary + 0.5 * h * s
 
 
 def caputo_substitution(nth_deriv: GridFunction, ord: FractionalOrder, t_index: int) -> float:
@@ -135,13 +161,9 @@ def caputo_substitution(nth_deriv: GridFunction, ord: FractionalOrder, t_index: 
     m = int(t_index)
     if m < 1 or m > nth_deriv.m:
         raise IndexError(f"t_index {t_index} outside 1..{nth_deriv.m}")
-    p = ord.n - ord.effective
-    w = power_weights(p, nth_deriv.h, m)
-    g = nth_deriv.values
-    avg = 0.5 * (g[1 : m + 1] + g[0:m])
-    # u_{k-1} - u_k with u_k = (t - x_k)^p = w[m-k]
-    du = w[m:0:-1] - w[m - 1 :: -1]
-    return float(np.dot(avg, du) / gamma(ord.n + 1 - ord.effective))
+    w = power_weights(ord.n - ord.effective, nth_deriv.h, m)
+    s = substitution_sum(nth_deriv.values[: m + 1], w[::-1])  # u_k = (t - x_k)^p = w[m-k]
+    return float(s / gamma(ord.n + 1 - ord.effective))
 
 
 def caputo_byparts(
@@ -160,13 +182,9 @@ def caputo_byparts(
     if m < 1 or m - 1 > np1_deriv.m:
         raise IndexError(f"t_index {t_index} outside 1..{np1_deriv.m + 1}")
     h = np1_deriv.h
-    p = ord.n - ord.effective
-    w = power_weights(p, h, m)
-    gp = np1_deriv.values
-    s = w[m] * gp[0]
-    if m >= 2:
-        s += 2.0 * float(np.dot(w[m - 1 : 0 : -1], gp[1:m]))
-    return float((nth_deriv_at_0 * w[m] + 0.5 * h * s) / gamma(ord.n + 1 - ord.effective))
+    w = power_weights(ord.n - ord.effective, h, m)
+    s = byparts_sum(np1_deriv.values[:m], w[m:0:-1], h, nth_deriv_at_0)
+    return float(s / gamma(ord.n + 1 - ord.effective))
 
 
 def caputo_taylor(coeffs, ord: FractionalOrder, x: float) -> float:

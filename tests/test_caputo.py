@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fracdual.bench import derivative_table
+import fracdual.bench
+from fracdual.bench import _ROW_BLOCK, TABLE1, TABLE1_ALPHA, TABLE1_H, derivative_table
 from fracdual.caputo import (
     FractionalOrder,
     GridFunction,
@@ -17,6 +18,7 @@ from fracdual.caputo import (
     power_weights,
     tan_taylor_coeffs,
 )
+from fracdual.profiles import DerivativeProfile, get_profile
 from fracdual.special_functions import gamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -247,6 +249,49 @@ def test_derivative_table_memory_is_one_row():
     row = _traced_peak(lambda: derivative_table("exp", 0.4, 1e-5, points[-1:]))
     table = _traced_peak(lambda: derivative_table("exp", 0.4, 1e-5, points))
     assert table <= 2 * row
+
+
+def test_derivative_row_memory_is_a_few_blocks():
+    # m = x/h = 2*10^6: one array of the row's samples would take 16 MB
+    peak = _traced_peak(lambda: derivative_table("exp", 0.4, 1e-6, [2.0]))
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("m", [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 7])
+@pytest.mark.parametrize("alpha", [0.4, 1.3])
+def test_derivative_row_blocks_match_whole_range_rules(alpha, m):
+    h = 1e-5
+    o = FractionalOrder(alpha)
+    deriv = get_profile("tan").derivative
+    xs = np.arange(m + 1) * h
+    gn = deriv(o.n, xs)
+    sub = caputo_substitution(GridFunction(h, gn), o, m)
+    byp = caputo_byparts(float(gn[0]), GridFunction(h, deriv(o.n + 1, xs)), o, m)
+    (row,) = derivative_table("tan", alpha, h, [m * h])
+    assert abs(row[2] - sub) <= 1e-14 * abs(sub)
+    assert abs(row[4] - byp) <= 1e-14 * abs(byp)
+
+
+@pytest.mark.parametrize("extra,nan_columns", [(0, (2, 4)), (1, (4,))], ids=["nth", "n+1th"])
+def test_non_finite_sample_past_the_first_block(monkeypatch, extra, nan_columns):
+    # a non-finite f^(n+1) sample voids by-parts only; one of f^(n) both rules
+    h, o = 1e-5, FractionalOrder(0.4)
+    bad = (_ROW_BLOCK + 1) * h
+
+    def deriv(d, x):
+        return np.where(x == bad, np.inf, np.exp(x)) if d == o.n + extra else np.exp(x)
+
+    profile = DerivativeProfile("spiked", deriv, lambda order, x: 0.0)
+    monkeypatch.setattr(fracdual.bench, "get_profile", lambda name: profile)
+    (row,) = derivative_table("spiked", 0.4, h, [(2 * _ROW_BLOCK + 5) * h])
+    assert [c for c in (2, 4) if math.isnan(row[c])] == list(nan_columns)
+
+
+def test_derivative_table_accepts_grid_points():
+    # TABLE1's points, and the h = 1e-6 points of the benchmark's derivative rows
+    assert len(derivative_table("tan", TABLE1_ALPHA, TABLE1_H, [row[0] for row in TABLE1])) == len(TABLE1)
+    points = [round(0.05 * k, 2) for k in range(1, 13)]
+    assert len(derivative_table("tan", 0.4, 1e-6, points)) == len(points)
 
 
 class TestProperties:

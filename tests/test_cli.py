@@ -359,6 +359,8 @@ def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
             "point 1.0 at step 1e-320 needs m = x/h = inf samples, over 10000000",
         ),
         ("derivative --f tan --alpha 0.4 --h 0.01 --points 0", "point 0.0 is below the step 0.01: the rules need x >= h"),
+        # 0.4 steps off the grid; the rules would run at 0.3 and the oracle at 0.3000004
+        ("derivative --f tan --alpha 0.4 --h 1e-6 --points 0.3000004", "point 0.3000004 is not on the step-1e-06 grid"),
         # rejected before the point list is built
         (
             "derivative --f tan --alpha 0.4 --h 0.01 --points 0:1:1e-320",
@@ -391,6 +393,7 @@ def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
         "tiny_steps",
         "subnormal_step",
         "point_zero",
+        "off_grid_point",
         "subnormal_range_step",
         "huge_range",
         "infinite_exponent",

@@ -161,8 +161,8 @@ def _row_rules(profile, order: FractionalOrder, h: float, m: int) -> tuple[float
         k1 = min(k0 + _ROW_BLOCK, m)
         xs = np.arange(k0, k1 + 1) * h
         with np.errstate(over="ignore"):  # an overflowing sample is inf, and its rule nan
-            gn = np.asarray(profile.derivative(order.n, xs), dtype=float)
-            gp = np.asarray(profile.derivative(order.n + 1, xs[:-1]), dtype=float)
+            gn, gp = (np.asarray(g, dtype=float) for g in profile.derivative((order.n, order.n + 1), xs))
+            gp = gp[:-1]
         if not np.isfinite(gn).all():
             return nan, nan
         byp_ok = byp_ok and bool(np.isfinite(gp).all())

@@ -10,9 +10,9 @@ Integer orders are handled by the tiny-deviation rule: alpha = n is
 replaced by n - 1e-14, which leaves n - 1 <= effective_alpha < n.
 
 Both rules scale the same power weights (i*h)^(n-alpha) by
-1/Gamma(n+1-alpha); ``power_weights`` keeps only its last table. Each
-rule's sum is written once, over a range of nodes, for the whole 0..t or
-for one block of a derivative row.
+1/Gamma(n+1-alpha), tabulated by ``power_weights``, which keeps no table.
+Each rule's sum is written once, over a range of nodes, for the whole
+0..t or for one block of a derivative row.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -117,13 +116,9 @@ def step_powers(p: float, h: float, j: np.ndarray) -> np.ndarray:
         return np.exp(p * np.log(j * h))
 
 
-# One entry: a dual solve builds its two operators from the same table.
-@lru_cache(maxsize=1)
 def power_weights(p: float, h: float, m: int) -> np.ndarray:
     """w[i] = (i*h)**p for i = 0..m, with w[0] = 0 exactly."""
-    w = step_powers(p, h, np.arange(m + 1, dtype=float))
-    w.setflags(write=False)
-    return w
+    return step_powers(p, h, np.arange(m + 1, dtype=float))
 
 
 def substitution_sum(g: np.ndarray, u: np.ndarray) -> float:

@@ -5,7 +5,8 @@ only when both converge and their solutions agree within a tolerance.
 Disagreement or non-convergence is a verdict, not an error. By-parts'
 Newton starts from the converged substitution answer, about one step
 from its own root since the two systems differ by one rank-one term; it
-still solves its own system to its own stop rule.
+still solves its own system to its own stop rule. The two solves share
+each term's kernel: only the operators' edge columns are each method's own.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .caputo import MethodKind
 from .expr import ExpressionTree, evaluate
-from .solver import EquationSpec, Solution, SolverConfig, solve
+from .solver import EquationSpec, Solution, SolverConfig, dual_workspaces, solve_in
 
 __all__ = [
     "VerdictKind",
@@ -113,8 +114,9 @@ def dual_solve(
     thr = default_threshold(cfg.h) if threshold is None else float(threshold)
     if not (math.isfinite(thr) and thr > 0.0):
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    a = solve(eq, cfg, method=MethodKind.SUBSTITUTION)
-    b = solve(eq, cfg, method=MethodKind.BYPARTS, start=a.u.values if a.converged else None)
+    workspaces = dual_workspaces(eq, cfg)  # each lives only for its own solve
+    a = solve_in(next(workspaces))
+    b = solve_in(next(workspaces), start=a.u.values if a.converged else None)
     failed = tuple(sol.method for sol in (a, b) if not sol.converged)
     if a.u is None or b.u is None:
         deviation = np.nan

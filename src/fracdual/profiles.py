@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -30,35 +30,64 @@ class DerivativeProfile:
     """f with analytic derivatives and an independent fractional oracle."""
 
     name: str
-    derivative: Callable[[int, np.ndarray], np.ndarray]  # d-th derivative samples, d >= 0
+    # (d, x) -> d-th derivative samples, d >= 0; a tuple of orders d gives
+    # a tuple of sample arrays, which may share f's transcendental
+    derivative: Callable[[Union[int, tuple[int, ...]], np.ndarray], Union[np.ndarray, tuple]]
     oracle: Callable[[FractionalOrder, float], float]
 
 
+def _by_order(samples):
+    """``derivative`` from samples(orders, x), a tuple with one array per order."""
+
+    def derivative(d, x):
+        if isinstance(d, tuple):
+            return samples(d, x)
+        (out,) = samples((d,), x)
+        return out
+
+    return derivative
+
+
+def _each_order(deriv):
+    """``derivative`` from deriv(d, x), one order at a time."""
+    return _by_order(lambda orders, x: tuple(deriv(d, x) for d in orders))
+
+
+def _tan_derivative(d, t, s):
+    """The d-th derivative of tan from t = tan(x) and s = 1 + t^2."""
+    if d == 0:
+        return t
+    if d == 1:
+        return s
+    if d == 2:
+        return 2.0 * t * s
+    if d == 3:
+        return 2.0 * s * (1.0 + 3.0 * t * t)
+    raise ValueError(f"tan profile supplies derivatives up to 3, asked for {d}")
+
+
 def _tan_profile() -> DerivativeProfile:
-    def deriv(d, x):
+    def samples(orders, x):
         t = np.tan(x)
         s = 1.0 + t * t
-        if d == 0:
-            return t
-        if d == 1:
-            return s
-        if d == 2:
-            return 2.0 * t * s
-        if d == 3:
-            return 2.0 * s * (1.0 + 3.0 * t * t)
-        raise ValueError(f"tan profile supplies derivatives up to 3, asked for {d}")
+        return tuple(_tan_derivative(d, t, s) for d in orders)
 
     coeffs = tan_taylor_coeffs(_SERIES_TERMS)
     return DerivativeProfile(
-        "tan", deriv, lambda ordr, x: caputo_taylor(coeffs, ordr, x)
+        "tan", _by_order(samples), lambda ordr, x: caputo_taylor(coeffs, ordr, x)
     )
 
 
 def _cycle_profile(name, fns):
     """f whose d-th derivative is fns[d % 4]; the series takes f^(k)(0) from them."""
     coeffs = [float(fns[k % 4](0.0)) for k in range(_SERIES_TERMS + 1)]
+
+    def samples(orders, x):
+        values = {f: f(x) for f in {fns[d % 4] for d in orders}}  # exp's orders share one np.exp
+        return tuple(values[fns[d % 4]] for d in orders)
+
     return DerivativeProfile(
-        name, lambda d, x: fns[d % 4](x), lambda ordr, x: caputo_taylor(coeffs, ordr, x)
+        name, _by_order(samples), lambda ordr, x: caputo_taylor(coeffs, ordr, x)
     )
 
 
@@ -67,7 +96,7 @@ def _const1_profile():
         x = np.asarray(x, dtype=float)
         return np.ones_like(x) if d == 0 else np.zeros_like(x)
 
-    return DerivativeProfile("const1", deriv, lambda ordr, x: 0.0)
+    return DerivativeProfile("const1", _each_order(deriv), lambda ordr, x: 0.0)
 
 
 def _power_profile(beta: float) -> DerivativeProfile:
@@ -88,7 +117,7 @@ def _power_profile(beta: float) -> DerivativeProfile:
         return out
 
     return DerivativeProfile(
-        f"x^{beta:g}", deriv, lambda ordr, x: caputo_power(beta, ordr, x)
+        f"x^{beta:g}", _each_order(deriv), lambda ordr, x: caputo_power(beta, ordr, x)
     )
 
 

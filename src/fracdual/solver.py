@@ -9,22 +9,25 @@ at once) by damped Newton with a forward-difference Jacobian J, each step
 an O(m^2) blocked QR of banded J^T, forward in x, that forms J only in
 blocks at the diagonal and reaches the rest through 4-column products.
 One pass over the terms gives the residual and the products the Jacobian
-reuses; the rounding floor is formed only where a test needs it. A solve
-holds O(m * _BLOCK) per term. The step h is the only setting: Newton's
-are the constants below, so both methods run under one solver.
+reuses, with u transformed once for all terms; the rounding floor is
+formed only where a test needs it. A solve holds O(m * _BLOCK) per term,
+and the two methods' solves of one problem share each term's kernel
+(``dual_workspaces``). The step h is the only setting: Newton's are the
+constants below, so both methods run under one solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .caputo import FractionalOrder, GridFunction, MethodKind
 from .expr import EvalDomainError, ExpressionTree, evaluate
-from .operators import operator_for
+from .operators import fractional_operators, operator_for, products
 from .stencils import STENCILS
 
 __all__ = [
@@ -35,7 +38,9 @@ __all__ = [
     "ResidualDomainError",
     "grid_size",
     "assemble_residual",
+    "dual_workspaces",
     "solve",
+    "solve_in",
 ]
 
 # Converged means max|r| <= NEWTON_TOL * (1 + max|u|), or max|r| at the
@@ -50,6 +55,9 @@ DAMPING_MIN = 1.0 / 64.0
 # one-sided row 1 reaches A[1, 4] (by-parts, and substitution at n = 2).
 _BANDWIDTH = 3
 _BLOCK = 32  # rows of J per QR panel of the Newton step
+# Diagonal panel blocks formed at once: 8 * 35^2 floats stay below the
+# size from which malloc maps fresh pages for every array.
+_GATHER = 8
 # Most steps m a grid may have. A solve allocates a few (m + 1)-float
 # arrays per term before its first Newton step, so this keeps each at 8 MB
 # while leaving ten times the m = 10^5 the step is meant to reach.
@@ -163,17 +171,19 @@ def _tree_eval(tree, x, u, node_offset: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Operators and grid of one solve, shared across its Newton iterations."""
+    """Operators and grid of one solve, shared across its Newton iterations.
+    ``ops``, one operator of ``method`` per term on this grid, are built
+    when not given."""
 
-    def __init__(self, eq: EquationSpec, cfg: SolverConfig, method: MethodKind):
+    def __init__(self, eq: EquationSpec, cfg: SolverConfig, method: MethodKind, ops=None):
         if not isinstance(method, MethodKind):
             raise ValueError(f"method must be a MethodKind, got {method!r}")
-        self.eq = eq
+        self.eq, self.method = eq, method
         m, h = grid_size(eq.interval_end, cfg.h), cfg.h
-        self.m = m
+        self.m, self.h = m, h
         self.x = np.arange(m + 1) * h
         self.n_ic = eq.n_ic
-        self.ops = [operator_for(method, t.order, h, m) for t in eq.terms]
+        self.ops = [operator_for(method, t.order, h, m) for t in eq.terms] if ops is None else list(ops)
         self.strip_products = [A.strip_product(_BLOCK) for A in self.ops]
         self.xc = self.x[self.n_ic :]
         # u(0) and u'(0) rows on u[:3], divided by the denominator after the product
@@ -208,18 +218,24 @@ class _Workspace:
         """The residual of u, the parts it was formed from (f, g, every K_i
         and every product A_i @ u), and its rounding floor as a function
         ``floor()``, formed only when called: see ``floor_scale``."""
-        parts = (*self._parts(u[self.n_ic :]), [A @ u for A in self.ops])
+        parts = (*self._parts(u[self.n_ic :]), products(self.ops, u))
         r = self._sum(u, *parts, self.ic_rows, self.ic_vals)
         return r, parts, lambda: self.floor_scale(u, *parts[:3])
+
+    @cached_property
+    def abs_ops(self):
+        """abs(A_i) for every term, formed at the first floor test that needs them."""
+        return [abs(A) for A in self.ops]
 
     @np.errstate(over="ignore", invalid="ignore")
     def floor_scale(self, u: np.ndarray, f, g, Ks) -> float:
         """The scale the residual's sums cancel over: the largest row of
         their sum over absolute values (x - -|y| is x + |y|)."""
         au = np.abs(u)
-        products = [abs(A) @ au for A in self.ops]
         Ks = [np.abs(K) for K in Ks]
-        scale = self._sum(au, np.abs(f), -np.abs(g), Ks, products, np.abs(self.ic_rows), -np.abs(self.ic_vals))
+        scale = self._sum(
+            au, np.abs(f), -np.abs(g), Ks, products(self.abs_ops, au), np.abs(self.ic_rows), -np.abs(self.ic_vals)
+        )
         return float(np.max(scale))
 
     def residual(self, u: np.ndarray) -> np.ndarray:
@@ -230,6 +246,10 @@ class _Workspace:
         accessors block(k0, k1, l0, l1) = J[k0:k1, l0:l1], a new array of one
         multiply per term, and below(i, W) = W @ J[i:, i - _BLOCK : i].T
         (i >= _BLOCK), from the operators' windows without writing that strip.
+        The Newton step's diagonal blocks J[k:k+s, k:k+s], s = _BLOCK +
+        _BANDWIDTH and k a multiple of _BLOCK, are formed _GATHER at a time,
+        one ``diagonal_blocks`` per term, as the step first asks for each run;
+        ``block`` hands each out once.
 
         Expression trees act pointwise, so difference column j departs from
         sum_i K_i A_i (``block``) only on the diagonal, by ``_sum`` of the
@@ -247,14 +267,31 @@ class _Workspace:
         Ks = [np.r_[np.zeros(nic), K] for K in Ks]  # the condition rows are written over
         ic = np.zeros((nic, m + 1))
         ic[:, :3] = self.ic_rows / self.ic_denom[:, None]
+        size = _BLOCK + _BANDWIDTH
+        gathered = {}  # diagonal blocks of the step's next panels, by first row
 
-        def block(k0: int, k1: int, l0: int, l1: int) -> np.ndarray:
-            out = sum(A.block(k0, k1, l0, l1, K[k0:k1, None]) for K, A in zip(Ks, self.ops))
+        def pointwise(out: np.ndarray, k0: int, k1: int, l0: int, l1: int) -> np.ndarray:
+            """J[k0:k1, l0:l1] from out = sum_i K_i A_i[k0:k1, l0:l1], in place."""
             lo, hi = max(k0, l0), min(k1, l1)  # J's diagonal in the block, through a view
             np.einsum("ii->i", out[lo - k0 : hi - k0, lo - l0 : hi - l0])[:] += diag[lo:hi]
             if k0 < nic:
                 out[: nic - k0] = ic[k0:k1, l0:l1]
             return out
+
+        def gather(k0: int) -> None:
+            """The diagonal blocks of the _GATHER panels from row k0 on."""
+            starts = np.arange(k0, min(k0 + _GATHER * _BLOCK, m + 2 - size), _BLOCK)
+            blocks = sum(A.diagonal_blocks(starts, size, K) for K, A in zip(Ks, self.ops))
+            for k, b in zip(starts.tolist(), blocks):
+                gathered[k] = pointwise(b, k, k + size, k, k + size)
+
+        def block(k0: int, k1: int, l0: int, l1: int) -> np.ndarray:
+            if k0 == l0 and k1 == l1 == k0 + size and k0 % _BLOCK == 0:  # a step's diagonal block
+                if k0 not in gathered:
+                    gather(k0)
+                return gathered.pop(k0)
+            out = sum(A.block(k0, k1, l0, l1, K[k0:k1, None]) for K, A in zip(Ks, self.ops))
+            return pointwise(out, k0, k1, l0, l1)
 
         def below(i: int, W: np.ndarray) -> np.ndarray:
             out = None  # the sum of the terms, each scaled and added in place
@@ -379,6 +416,17 @@ def _newton(ws: _Workspace, u0: np.ndarray):
     return u, r, iters, None if _converged(r, u, floor) else f"no convergence in {NEWTON_MAX_ITER} iterations"
 
 
+def dual_workspaces(eq: EquationSpec, cfg: SolverConfig):
+    """Yields substitution's workspace for one problem, then by-parts', on
+    one kernel per term: each term's kernel, spectrum and strip window are
+    assembled once, and by-parts' edge columns are summed when its
+    workspace is asked for."""
+    m = grid_size(eq.interval_end, cfg.h)
+    per_term = [fractional_operators(t.order.effective, t.order.n, cfg.h, m) for t in eq.terms]
+    for method in MethodKind:  # the order fractional_operators yields in
+        yield _Workspace(eq, cfg, method, [next(ops) for ops in per_term])
+
+
 def solve(
     eq: EquationSpec, cfg: SolverConfig, method: MethodKind, *, start: Optional[np.ndarray] = None
 ) -> Solution:
@@ -392,7 +440,12 @@ def solve(
     ``start``, m + 1 node values, is tried before both; only where Newton
     begins changes, not the system it solves or its stop rule.
     """
-    ws = _Workspace(eq, cfg, method)
+    return solve_in(_Workspace(eq, cfg, method), start=start)
+
+
+def solve_in(ws: _Workspace, *, start: Optional[np.ndarray] = None) -> Solution:
+    """``solve`` on the grid and operators of the workspace ``ws``."""
+    eq = ws.eq
     guesses = [np.full(ws.m + 1, float(eq.ic_u0))]
     if eq.ic_du0 is not None and eq.ic_du0 != 0.0:
         guesses.append(eq.ic_u0 + eq.ic_du0 * ws.x)
@@ -408,9 +461,9 @@ def solve(
             break
     u, r, iters, failure = next((res for res in reversed(results) if res[0] is not None), results[-1])
     return Solution(
-        u=None if u is None else GridFunction(cfg.h, u),
-        residual=None if r is None else GridFunction(cfg.h, r),
+        u=None if u is None else GridFunction(ws.h, u),
+        residual=None if r is None else GridFunction(ws.h, r),
         newton_iters=iters,
-        method=method,
+        method=ws.method,
         failure=failure,
     )

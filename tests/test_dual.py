@@ -20,7 +20,7 @@ from fracdual.dual import (
 )
 from fracdual.expr import parse_expression
 from fracdual.problem_file import parse_problem_text
-from fracdual.solver import EquationSpec, Solution, SolverConfig, TermSpec, solve
+from fracdual.solver import EquationSpec, Solution, SolverConfig, TermSpec, solve, solve_in
 
 
 def _fake_solution(h, values, method=MethodKind.SUBSTITUTION):
@@ -278,7 +278,7 @@ def test_dual_report_carries_both_solutions(solved_fixture):
 
 def _cold_dual(problem, monkeypatch):
     """dual_solve with by-parts started cold, as if it were not seeded."""
-    monkeypatch.setattr(dual, "solve", lambda eq, cfg, method, start=None: solve(eq, cfg, method))
+    monkeypatch.setattr(dual, "solve_in", lambda ws, start=None: solve_in(ws))
     return dual_solve(problem.equation, problem.config(), threshold=problem.threshold)
 
 

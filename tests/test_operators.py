@@ -14,7 +14,7 @@ from fracdual.caputo import (
     caputo_substitution,
     power_weights,
 )
-from fracdual.operators import fractional_operator, operator_for
+from fracdual.operators import fractional_operator, fractional_operators, operator_for, products
 from fracdual.solver import grid_size
 from fracdual.special_functions import gamma
 
@@ -117,12 +117,19 @@ def test_panel_diagonal_blocks_match_dense(method, alpha, m):
     n = m + 1
     K = np.random.default_rng(m).normal(size=(n, 1))
     bound = 1e-12 * np.max(np.abs(want))
+    starts = np.arange(0, n - 34, 32)  # the blocks of full size
+    if starts.size:
+        stacked = op.diagonal_blocks(starts, 35, K[:, 0])
+        assert stacked.shape == (len(starts), 35, 35)
     for k0 in range(0, n, 32):
         k1 = min(k0 + 35, n)
         block = op.block(k0, k1, k0, k1)
         assert np.max(np.abs(block - want[k0:k1, k0:k1])) <= bound
-        # a scaled block is one multiply of the same entries
+        # a scaled block is one multiply of the same entries, and so is
+        # each of the full-size blocks gathered at once
         assert np.array_equal(op.block(k0, k1, k0, k1, K[k0:k1]), K[k0:k1] * block)
+        if k1 - k0 == 35:
+            assert np.array_equal(stacked[k0 // 32], K[k0:k1] * block)
 
 
 def test_rejects_grids_below_stencil_layout():
@@ -220,3 +227,41 @@ def test_methods_differ_by_rank_one_boundary_term(alpha, m):
     assert np.array_equal(subst.cols, byparts.cols)
     differs = (subst.edge != byparts.edge).any(axis=0)
     assert np.array_equal(subst.cols[differs], np.arange(5))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["n=1", "n=2"])
+@pytest.mark.parametrize("m", [8, 12, 36, 1000])
+def test_byparts_operator_shares_the_substitution_kernel(alpha, m):
+    # built together, the two methods hold one kernel, and by-parts' edge
+    # columns are summed as if it were built alone: bit for bit
+    o = FractionalOrder(alpha)
+    subst, byparts = fractional_operators(o.effective, o.n, 1.0 / m, m)
+    assert byparts.kernel is subst.kernel
+    alone = fractional_operator(MethodKind.BYPARTS, o.effective, o.n, 1.0 / m, m)
+    assert alone.kernel is not subst.kernel
+    for a, b in (
+        (byparts.rev, alone.rev),
+        (byparts.kernel.spectrum, alone.kernel.spectrum),
+        (byparts.cols, alone.cols),
+        (byparts.edge, alone.edge),
+        (byparts.kernel.window(min(32, m)), alone.kernel.window(min(32, m))),
+    ):
+        assert a.tobytes() == b.tobytes()
+    assert subst.edge.tobytes() == operator_for(MethodKind.SUBSTITUTION, o, 1.0 / m, m).edge.tobytes()
+    # abs() of either operator shares the one kernel of absolute values
+    assert abs(subst).kernel is abs(byparts).kernel is subst.kernel.magnitude
+
+
+@pytest.mark.parametrize("m", [8, 1000])
+def test_products_transform_u_once_for_every_operator(m):
+    # one rfft of u for all terms gives each A_i @ u bit for bit, and so
+    # for the floor's abs(A_i) @ |u|
+    h = 1.0 / m
+    orders = [FractionalOrder(a) for a in (0.3, 0.9, 1.5)]
+    ops = [A for o in orders for A in fractional_operators(o.effective, o.n, h, m)]
+    u = np.random.default_rng(m).normal(size=m + 1)
+    for A, Au in zip(ops, products(ops, u)):
+        assert Au.tobytes() == (A @ u).tobytes()
+    magnitudes = [abs(A) for A in ops]
+    for A, Au in zip(magnitudes, products(magnitudes, np.abs(u))):
+        assert Au.tobytes() == (A @ np.abs(u)).tobytes()

@@ -56,3 +56,25 @@ def test_const1_oracle_zero():
 def test_tan_profile_oracle_matches_series_benchmark():
     profile = get_profile("tan")
     assert profile.oracle(FractionalOrder(0.4), 0.1) == pytest.approx(0.2824821555, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["tan", "sin", "cos", "exp", "const1", "x^1.2"])
+def test_orders_asked_together_match_each_alone(name):
+    profile = get_profile(name)
+    x = np.array([0.0, 0.2, 0.45, 0.9])
+    together = profile.derivative((1, 2), x)
+    assert isinstance(together, tuple) and len(together) == 2
+    for d, samples in zip((1, 2), together):
+        assert samples.tobytes() == profile.derivative(d, x).tobytes()
+
+
+@pytest.mark.parametrize("name", ["tan", "exp"])
+def test_orders_asked_together_evaluate_f_once(monkeypatch, name):
+    # a derivative row asks for f^(n) and f^(n+1) on one block of nodes
+    calls = []
+    original = getattr(np, name)
+    monkeypatch.setattr(np, name, lambda x: calls.append(x) or original(x))
+    profile = get_profile(name)
+    calls.clear()
+    profile.derivative((1, 2), np.linspace(0.1, 0.9, 5))
+    assert len(calls) == 1

@@ -8,17 +8,20 @@ values the benchmarks publish.
 import dataclasses
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from fracdual import solver
+from fracdual import operators, solver
 from fracdual.bench import load_fixture
 from fracdual.caputo import FractionalOrder, GridFunction, MethodKind
 from fracdual.expr import evaluate, parse_expression
-from fracdual.operators import operator_for
+from fracdual.dual import dual_solve
+from fracdual.operators import ToeplitzOperator, operator_for
 from fracdual.solver import (
     _BANDWIDTH,
+    _BLOCK,
     DAMPING_MIN,
     MAX_GRID_STEPS,
     EquationSpec,
@@ -497,6 +500,37 @@ class TestSolve:
         assert peak < 512 * (m + 1) * 8
 
 
+def test_dual_solve_assembles_each_kernel_once(monkeypatch):
+    # three terms: three kernels for both methods, and at most one abs(A_i)
+    # per term and workspace however many floor tests run
+    kernels, floors, magnitudes = [], Counter(), Counter()
+
+    class Counted(operators._Kernel):
+        def __init__(self, rev):
+            super().__init__(rev)
+            kernels.append(self)
+
+    def floor_scale(ws, *args):
+        floors[ws] += 1
+        return original_floor(ws, *args)
+
+    def magnitude(A):
+        magnitudes[id(A)] += 1
+        return original_abs(A)
+
+    original_floor, original_abs = solver._Workspace.floor_scale, ToeplitzOperator.__abs__
+    monkeypatch.setattr(operators, "_Kernel", Counted)
+    monkeypatch.setattr(solver._Workspace, "floor_scale", floor_scale)
+    monkeypatch.setattr(ToeplitzOperator, "__abs__", magnitude)
+    problem = load_fixture("quasilinear_tan")
+    assert dual_solve(problem.equation, problem.config()).verdict.reliable
+    abs_kernels = [k.__dict__["magnitude"] for k in kernels if "magnitude" in k.__dict__]
+    assert len(kernels) - len(abs_kernels) == 3
+    assert len(abs_kernels) <= 3
+    assert len(floors) == 2 and min(floors.values()) >= 2
+    assert set(magnitudes.values()) == {1} and len(magnitudes) <= 6
+
+
 def _upper_banded(n, p, seed):
     # J[i, j] = 0 for j > i + p, diagonally dominant so well-conditioned
     rng = np.random.default_rng(seed)
@@ -552,6 +586,33 @@ class TestBandedStep:
         delta = _solve_upper_banded(block, below, -r)
         want = np.linalg.solve(block(0, m + 1, 0, m + 1), -r)
         assert np.max(np.abs(delta - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    @pytest.mark.parametrize("alphas", [(0.6,), (1.3, 0.6)], ids=["n_ic=1", "n_ic=2"])
+    @pytest.mark.parametrize("m", [33, 36, 100, 1000])
+    def test_gathered_panel_blocks_match_fresh_blocks(self, method, alphas, m):
+        # the step's diagonal blocks, gathered once per term, are bit for bit
+        # the blocks formed one at a time; each request gets its own copy
+        coeffs = ("2 + sin(x)*u", "1 + cos(x)^2")
+        eq = EquationSpec(
+            terms=tuple(TermSpec(E(c), FractionalOrder(a)) for c, a in zip(coeffs, alphas)),
+            forcing=E("sin(x) + u^2"),
+            rhs=E("0"),
+            interval_end=1.0,
+            ic_u0=0.2,
+            ic_du0=0.5 if alphas[0] > 1.0 else None,
+        )
+        ws = _Workspace(eq, SolverConfig(h=1.0 / m), method)
+        u = 0.2 + 0.5 * np.sin(ws.x)
+        block, _below = ws.jacobian(u, ws.residual_terms(u)[1])
+        n = m + 1
+        fresh = block(0, n, 0, n)
+        for k in range(0, n, _BLOCK):
+            f = min(k + _BLOCK + _BANDWIDTH, n)
+            panel = block(k, f, k, f)
+            assert panel.tobytes() == fresh[k:f, k:f].tobytes()
+            panel[:] = 0.0
+            assert block(k, f, k, f).tobytes() == fresh[k:f, k:f].tobytes()
 
     def test_singular_jacobian_is_non_convergence(self, monkeypatch):
         ws = _Workspace(simple_eq(forcing="sin(x)"), SolverConfig(h=0.1), MethodKind.BYPARTS)

@@ -58,7 +58,10 @@ def _parse_points(spec: str) -> list[float]:
         if not steps < MAX_TABLE_POINTS:
             raise ValueError(f"point range {spec!r} names {steps + 1:.6g} points, over {MAX_TABLE_POINTS}")
         return [start + i * step for i in range(math.floor(steps) + 1)]
-    return [float(p) for p in spec.split(",") if p.strip()]
+    points = [float(p) for p in spec.split(",") if p.strip()]
+    if not points:
+        raise ValueError(f"point list {spec!r} names no points")
+    return points
 
 
 def _parse_h_list(spec: str) -> list[float]:

@@ -28,8 +28,8 @@ operators of one term share. It multiplies by FFT, writes dense only the
 small blocks a Newton step factors, and multiplies the strips below them
 through one window of the kernel. A block is one multiply of a slice of
 the view, patched only where it reaches the edge columns. Nothing is
-cached between solves: ``fractional_operators`` assembles each term's
-kernel once per solve of both methods.
+cached between solves: ``fractional_operators``, the one constructor,
+assembles a term's kernel once for both methods.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .caputo import FractionalOrder, MethodKind, power_weights
 from .special_functions import gamma
 from .stencils import apply_rows, differentiation_rows
 
-__all__ = ["ToeplitzOperator", "fractional_operator", "fractional_operators", "operator_for", "products"]
+__all__ = ["ToeplitzOperator", "fractional_operators", "products"]
 
 # With stencils up to five wide, the columns that a one-sided row of S_n
 # or the boundary term reaches, or whose central window runs off the
@@ -132,23 +132,18 @@ class ToeplitzOperator:
                 out[p] = self.block(k, k + size, k, k + size, K[k : k + size, None])
         return out
 
-    def strip_product(self, w: int):
-        """The map (i, W) -> W @ A[i:, i - w : i].T, for w <= i <= m + 1 and W of w columns.
+    def strip(self, i: int, W: np.ndarray) -> np.ndarray:
+        """W @ A[i:, i - w : i].T, for W of w columns and w <= i <= m + 1.
 
         For every i that strip is the top of X[a, c] = rev[m - w - a + c], the
         kernel's window, apart from the ``cols`` it reaches: those add their difference."""
-        n = self.edge.shape[0]
-        XT, toeplitz = self.kernel.window(w), self.kernel.toeplitz
-
-        def product(i: int, W: np.ndarray) -> np.ndarray:
-            out = W @ XT[:, : n - i]
-            if i - w < _EDGE or i > n - _EDGE:  # the strip reaches ``cols``
-                q = np.flatnonzero((self.cols >= i - w) & (self.cols < i))
-                j = self.cols[q]
-                out += W[:, j - i + w] @ (self.edge[i:, q] - toeplitz[i:, j]).T
-            return out
-
-        return product
+        n, w = self.edge.shape[0], W.shape[1]
+        out = W @ self.kernel.window(w)[:, : n - i]
+        if i - w < _EDGE or i > n - _EDGE:  # the strip reaches ``cols``
+            q = np.flatnonzero((self.cols >= i - w) & (self.cols < i))
+            j = self.cols[q]
+            out += W[:, j - i + w] @ (self.edge[i:, q] - self.kernel.toeplitz[i:, j]).T
+        return out
 
 
 def products(ops, u) -> list[np.ndarray]:
@@ -182,10 +177,10 @@ def _stencil_columns(rows, cols: np.ndarray, m: int):
     return (B[:, 0] - 2.0 * B[:, 1] + B[:, 2]) / 4.0, list(zip(c.tolist(), j.tolist(), B[c, j].tolist()))
 
 
-def fractional_operators(effective: float, n: int, h: float, m: int, methods=tuple(MethodKind)):
-    """Yields (m+1)x(m+1) operators A with (A u)_k = D^alpha u(x_k), one per
-    method in ``methods``, in turn, all on one kernel: each method sums only
-    its edge columns, when its operator is asked for.
+def fractional_operators(order: FractionalOrder, h: float, m: int):
+    """Yields the (m+1)x(m+1) operators A with (A u)_k = D^alpha u(x_k) of
+    substitution, then of by-parts, on one kernel: each sums only its edge
+    columns, when it is asked for.
 
     Both methods apply the trapezoid weights of the transformed integral
     to S_n u: W[k,j] = (w[k-j+1]-w[k-j-1])/2 for 1 <= j <= k (w[-1] = 0),
@@ -198,8 +193,9 @@ def fractional_operators(effective: float, n: int, h: float, m: int, methods=tup
     """
     if m < 8:
         raise ValueError(f"grid too small for stencil layout (m={m}, need m >= 8)")
-    w = power_weights(n - effective, h, m)
-    g = gamma(n + 1 - effective)
+    n = order.n
+    w = power_weights(n - order.effective, h, m)
+    g = gamma(n + 1 - order.effective)
     rows = differentiation_rows(n, h)
     cols = np.unique(np.r_[0:_EDGE, m + 1 - _EDGE : m + 1])
     ell, entries = _stencil_columns(rows, cols, m)
@@ -213,7 +209,7 @@ def fractional_operators(effective: float, n: int, h: float, m: int, methods=tup
     rev = np.zeros(2 * m + 1)
     rev[: m + lead + 1] = np.convolve(lam, central[::-1])[m + lead :: -1]
     kernel = _Kernel(rev)
-    for method in methods:
+    for method in MethodKind:  # substitution, then by-parts
         edge = np.zeros((cols.size, m + 1))  # A[:, cols] transposed, a column per row
         if method is MethodKind.BYPARTS:  # minus the boundary term outer(w, l) / g
             edge -= np.outer(ell, w / g)
@@ -224,11 +220,3 @@ def fractional_operators(effective: float, n: int, h: float, m: int, methods=tup
         edge = np.ascontiguousarray(edge.T)  # while suspended, hold no more than the operator
         yield ToeplitzOperator(kernel, cols, edge)
 
-
-def fractional_operator(method: MethodKind, effective: float, n: int, h: float, m: int) -> ToeplitzOperator:
-    """The operator of ``method`` alone: see ``fractional_operators``."""
-    return next(fractional_operators(effective, n, h, m, (method,)))
-
-
-def operator_for(method: MethodKind, order: FractionalOrder, h: float, m: int) -> ToeplitzOperator:
-    return fractional_operator(method, order.effective, order.n, h, m)

@@ -1,7 +1,8 @@
 """Named function profiles for derivative benchmarks.
 
 A profile supplies analytic derivative samples (isolating quadrature
-error from reconstruction error) and an independent value for
+error from reconstruction error), several orders per call so that they
+may share f's transcendental, and an independent value for
 D^alpha f: the truncated series for the named transcendentals, the
 monomial rule for powers. Power profiles with beta - d < 0 are singular
 at x = 0; their sample there follows the IEEE limit (inf) and
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -30,27 +31,14 @@ class DerivativeProfile:
     """f with analytic derivatives and an independent fractional oracle."""
 
     name: str
-    # (d, x) -> d-th derivative samples, d >= 0; a tuple of orders d gives
-    # a tuple of sample arrays, which may share f's transcendental
-    derivative: Callable[[Union[int, tuple[int, ...]], np.ndarray], Union[np.ndarray, tuple]]
+    # (orders, x) -> one array of d-th derivative samples per order d >= 0
+    derivative: Callable[[tuple[int, ...], np.ndarray], tuple[np.ndarray, ...]]
     oracle: Callable[[FractionalOrder, float], float]
-
-
-def _by_order(samples):
-    """``derivative`` from samples(orders, x), a tuple with one array per order."""
-
-    def derivative(d, x):
-        if isinstance(d, tuple):
-            return samples(d, x)
-        (out,) = samples((d,), x)
-        return out
-
-    return derivative
 
 
 def _each_order(deriv):
     """``derivative`` from deriv(d, x), one order at a time."""
-    return _by_order(lambda orders, x: tuple(deriv(d, x) for d in orders))
+    return lambda orders, x: tuple(deriv(d, x) for d in orders)
 
 
 def _tan_derivative(d, t, s):
@@ -73,9 +61,7 @@ def _tan_profile() -> DerivativeProfile:
         return tuple(_tan_derivative(d, t, s) for d in orders)
 
     coeffs = tan_taylor_coeffs(_SERIES_TERMS)
-    return DerivativeProfile(
-        "tan", _by_order(samples), lambda ordr, x: caputo_taylor(coeffs, ordr, x)
-    )
+    return DerivativeProfile("tan", samples, lambda ordr, x: caputo_taylor(coeffs, ordr, x))
 
 
 def _cycle_profile(name, fns):
@@ -86,9 +72,7 @@ def _cycle_profile(name, fns):
         values = {f: f(x) for f in {fns[d % 4] for d in orders}}  # exp's orders share one np.exp
         return tuple(values[fns[d % 4]] for d in orders)
 
-    return DerivativeProfile(
-        name, _by_order(samples), lambda ordr, x: caputo_taylor(coeffs, ordr, x)
-    )
+    return DerivativeProfile(name, samples, lambda ordr, x: caputo_taylor(coeffs, ordr, x))
 
 
 def _const1_profile():

@@ -10,10 +10,11 @@ an O(m^2) blocked QR of banded J^T, forward in x, that forms J only in
 blocks at the diagonal and reaches the rest through 4-column products.
 One pass over the terms gives the residual and the products the Jacobian
 reuses, with u transformed once for all terms; the rounding floor is
-formed only where a test needs it. A solve holds O(m * _BLOCK) per term,
-and the two methods' solves of one problem share each term's kernel
-(``dual_workspaces``). The step h is the only setting: Newton's are the
-constants below, so both methods run under one solver.
+formed only where a test needs it. A solve holds O(m * _BLOCK) per term.
+Every workspace comes from ``dual_workspaces``, so the two methods' solves
+of one problem share each term's kernel, and a solve of one method builds
+the other's edge columns too. The step h is the only setting: Newton's
+are the constants below, so both methods run under one solver.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .caputo import FractionalOrder, GridFunction, MethodKind
 from .expr import EvalDomainError, ExpressionTree, evaluate
-from .operators import fractional_operators, operator_for, products
+from .operators import fractional_operators, products
 from .stencils import STENCILS
 
 __all__ = [
@@ -171,20 +172,13 @@ def _tree_eval(tree, x, u, node_offset: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Operators and grid of one solve, shared across its Newton iterations.
-    ``ops``, one operator of ``method`` per term on this grid, are built
-    when not given."""
+    """Operators and grid of one solve, shared across its Newton iterations:
+    ``ops`` holds one operator of ``method`` per term on the m steps of h."""
 
-    def __init__(self, eq: EquationSpec, cfg: SolverConfig, method: MethodKind, ops=None):
-        if not isinstance(method, MethodKind):
-            raise ValueError(f"method must be a MethodKind, got {method!r}")
-        self.eq, self.method = eq, method
-        m, h = grid_size(eq.interval_end, cfg.h), cfg.h
-        self.m, self.h = m, h
+    def __init__(self, eq: EquationSpec, h: float, m: int, method: MethodKind, ops):
+        self.eq, self.method, self.m, self.h, self.ops = eq, method, m, h, list(ops)
         self.x = np.arange(m + 1) * h
         self.n_ic = eq.n_ic
-        self.ops = [operator_for(method, t.order, h, m) for t in eq.terms] if ops is None else list(ops)
-        self.strip_products = [A.strip_product(_BLOCK) for A in self.ops]
         self.xc = self.x[self.n_ic :]
         # u(0) and u'(0) rows on u[:3], divided by the denominator after the product
         fwd = STENCILS[(1, "forward")]
@@ -295,8 +289,8 @@ class _Workspace:
 
         def below(i: int, W: np.ndarray) -> np.ndarray:
             out = None  # the sum of the terms, each scaled and added in place
-            for K, product in zip(Ks, self.strip_products):
-                t = product(i, W)
+            for K, A in zip(Ks, self.ops):
+                t = A.strip(i, W)
                 t *= K[i:]
                 out = t if out is None else np.add(out, t, out=out)
             return out
@@ -356,7 +350,7 @@ def assemble_residual(
     condition, entry 1 is its forward-difference mismatch; entries
     n_ic..m are sum_i K_i(x_k,u_k) D^(alpha_i)u(x_k) + f(x_k,u_k) - g(u_k).
     """
-    ws = _Workspace(eq, cfg, method)
+    ws = _workspace(eq, cfg, method)
     if candidate.m != ws.m or not math.isclose(candidate.h, cfg.h, rel_tol=1e-12):
         raise ValueError(
             f"candidate grid (h={candidate.h}, m={candidate.m}) does not match config (h={cfg.h}, m={ws.m})"
@@ -422,9 +416,16 @@ def dual_workspaces(eq: EquationSpec, cfg: SolverConfig):
     assembled once, and by-parts' edge columns are summed when its
     workspace is asked for."""
     m = grid_size(eq.interval_end, cfg.h)
-    per_term = [fractional_operators(t.order.effective, t.order.n, cfg.h, m) for t in eq.terms]
+    per_term = [fractional_operators(t.order, cfg.h, m) for t in eq.terms]
     for method in MethodKind:  # the order fractional_operators yields in
-        yield _Workspace(eq, cfg, method, [next(ops) for ops in per_term])
+        yield _Workspace(eq, cfg.h, m, method, [next(ops) for ops in per_term])
+
+
+def _workspace(eq: EquationSpec, cfg: SolverConfig, method: MethodKind) -> _Workspace:
+    """The workspace of ``method`` alone, from ``dual_workspaces``."""
+    if not isinstance(method, MethodKind):
+        raise ValueError(f"method must be a MethodKind, got {method!r}")
+    return next(ws for ws in dual_workspaces(eq, cfg) if ws.method is method)
 
 
 def solve(
@@ -440,7 +441,7 @@ def solve(
     ``start``, m + 1 node values, is tried before both; only where Newton
     begins changes, not the system it solves or its stop rule.
     """
-    return solve_in(_Workspace(eq, cfg, method), start=start)
+    return solve_in(_workspace(eq, cfg, method), start=start)
 
 
 def solve_in(ws: _Workspace, *, start: Optional[np.ndarray] = None) -> Solution:

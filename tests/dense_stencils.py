@@ -1,12 +1,20 @@
 """Dense stencil matrices: the test oracles for the row-wise stencil layout.
 
 The library applies its stencils row by row (``stencils.apply_rows``)
-and never forms these matrices; the tests compare against them.
+and never forms these matrices; the tests compare against them. Also
+``operator_of``, one method's operator from the library's one constructor.
 """
 
 import numpy as np
 
+from fracdual.caputo import MethodKind
+from fracdual.operators import fractional_operators
 from fracdual.stencils import differentiation_rows
+
+
+def operator_of(method, order, h, m):
+    """``method``'s operator, of those ``fractional_operators`` yields in turn."""
+    return next(A for kind, A in zip(MethodKind, fractional_operators(order, h, m)) if kind is method)
 
 
 def differentiation_matrix(m: int, h: float, order: int) -> np.ndarray:

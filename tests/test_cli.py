@@ -348,6 +348,7 @@ def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
     [
         ("derivative --f tan --alpha 0.4 --h 0 --points 0.1", "step must be positive and finite, got 0.0"),
         ("derivative --f tan --alpha 0.4 --h 0.01 --points 0.1,inf", "point must be finite, got inf"),
+        ("derivative --f tan --alpha 0.4 --h 0.01 --points ,", "point list ',' names no points"),
         ("convergence --f tan --alpha 0.4 --x 0.1 --h-list 0,0,0", "step must be positive and finite, got 0.0"),
         # rejected before any sample is allocated
         (
@@ -389,6 +390,7 @@ def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
     ids=[
         "zero_step",
         "infinite_point",
+        "empty_points",
         "zero_steps",
         "tiny_steps",
         "subnormal_step",

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from dense_stencils import difference_matrix_3pt, differentiation_matrix
+from dense_stencils import difference_matrix_3pt, differentiation_matrix, operator_of
 
 from fracdual.bench import FIXTURES, load_fixture
 from fracdual.caputo import (
@@ -14,7 +14,7 @@ from fracdual.caputo import (
     caputo_substitution,
     power_weights,
 )
-from fracdual.operators import fractional_operator, fractional_operators, operator_for, products
+from fracdual.operators import fractional_operators, products
 from fracdual.solver import grid_size
 from fracdual.special_functions import gamma
 
@@ -61,7 +61,7 @@ def _oracle_cases():
 def test_matches_dense_product(method, alpha, h, m):
     o = FractionalOrder(alpha)
     want = dense_operator(method, o, h, m)
-    op = operator_for(method, o, h, m)
+    op = operator_of(method, o, h, m)
     got = op.block(0, m + 1, 0, m + 1)
     assert got.shape == (m + 1, m + 1)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -75,9 +75,8 @@ def test_matches_dense_product(method, alpha, h, m):
     # reaching the leading edge columns, the interior and the trailing ones
     W = np.random.default_rng(m).normal(size=(4, 32))
     for w in (6, 32):
-        product = op.strip_product(w)
         for i in sorted({w, (m + w) // 2, m - 2, m + 1} & set(range(w, m + 2))):
-            got = product(i, W[:, :w])
+            got = op.strip(i, W[:, :w])
             assert got.shape == (4, m + 1 - i)
             bound = 1e-12 * np.max(np.abs(want)) * np.sum(np.abs(W[:, :w]), axis=1, keepdims=True)
             assert np.all(np.abs(got - W[:, :w] @ want[i:, i - w : i].T) <= bound)
@@ -96,7 +95,7 @@ def test_matches_dense_product(method, alpha, h, m):
 def test_products_hold_where_the_cyclic_length_steps(method, alpha, m):
     # the product is a cyclic convolution of a power-of-two length over 2m;
     # 2m + 1 falls just under or just over a power of two on these grids
-    op = operator_for(method, FractionalOrder(alpha), 1.0 / m, m)
+    op = operator_of(method, FractionalOrder(alpha), 1.0 / m, m)
     A = op.block(0, m + 1, 0, m + 1)
     u = np.random.default_rng(m).normal(size=m + 1)
     scale = np.max(np.abs(A) @ np.abs(u))
@@ -113,7 +112,7 @@ def test_panel_diagonal_blocks_match_dense(method, alpha, m):
     # the smaller ones a block holds both ends at once
     o = FractionalOrder(alpha)
     want = dense_operator(method, o, 1.0 / m, m)
-    op = operator_for(method, o, 1.0 / m, m)
+    op = operator_of(method, o, 1.0 / m, m)
     n = m + 1
     K = np.random.default_rng(m).normal(size=(n, 1))
     bound = 1e-12 * np.max(np.abs(want))
@@ -134,7 +133,7 @@ def test_panel_diagonal_blocks_match_dense(method, alpha, m):
 
 def test_rejects_grids_below_stencil_layout():
     with pytest.raises(ValueError, match="m >= 8"):
-        fractional_operator(MethodKind.SUBSTITUTION, 0.5, 1, 0.2, 7)
+        next(fractional_operators(FractionalOrder(0.5), 0.2, 7))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.3, 1.7])
@@ -143,7 +142,7 @@ def test_substitution_rows_match_scalar_op(alpha):
     h, m = 0.02, 40
     rng = np.random.default_rng(1)
     u = np.cumsum(rng.normal(size=m + 1)) * h  # smooth-ish walk
-    A = operator_for(MethodKind.SUBSTITUTION, o, h, m)
+    A = operator_of(MethodKind.SUBSTITUTION, o, h, m)
     gn = differentiation_matrix(m, h, o.n) @ u
     got = A @ u
     for k in range(1, m + 1):
@@ -158,7 +157,7 @@ def test_byparts_rows_match_scalar_op(alpha):
     h, m = 0.02, 40
     rng = np.random.default_rng(2)
     u = np.cumsum(rng.normal(size=m + 1)) * h
-    A = operator_for(MethodKind.BYPARTS, o, h, m)
+    A = operator_of(MethodKind.BYPARTS, o, h, m)
     gn = differentiation_matrix(m, h, o.n) @ u
     gp = difference_matrix_3pt(m, h) @ gn
     got = A @ u
@@ -172,14 +171,14 @@ def test_byparts_rows_match_scalar_op(alpha):
 @pytest.mark.parametrize("alpha", [0.5, 1.7])
 def test_annihilates_constants(method, alpha):
     o = FractionalOrder(alpha)
-    A = operator_for(method, o, 0.01, 30)
+    A = operator_of(method, o, 0.01, 30)
     out = A @ np.full(31, 3.7)
     assert np.max(np.abs(out)) <= 1e-9
 
 
 def test_operator_is_read_only_and_dies_with_its_caller():
     # nothing outside the caller keeps a dense operator alive
-    a = fractional_operator(MethodKind.SUBSTITUTION, 0.5, 1, 0.01, 20)
+    a = operator_of(MethodKind.SUBSTITUTION, FractionalOrder(0.5), 0.01, 20)
     assert not a.rev.flags.writeable
     assert not a.edge.flags.writeable
     ref = weakref.ref(a)
@@ -196,8 +195,8 @@ def test_byparts_tracks_substitution_on_smooth_data():
     h, m = 1e-3, 1000
     x = np.arange(m + 1) * h
     u = -0.28 * x**2 + 0.05 * x**3
-    S = operator_for(MethodKind.SUBSTITUTION, o, h, m).block(0, m + 1, 0, m + 1)
-    B = operator_for(MethodKind.BYPARTS, o, h, m).block(0, m + 1, 0, m + 1)
+    S = operator_of(MethodKind.SUBSTITUTION, o, h, m).block(0, m + 1, 0, m + 1)
+    B = operator_of(MethodKind.BYPARTS, o, h, m).block(0, m + 1, 0, m + 1)
     ds = np.max(np.abs((B - S) @ u))
     magnitude = np.max(np.abs(S @ u))
     assert ds <= 1e-5 * max(1.0, magnitude)
@@ -221,8 +220,7 @@ def test_methods_differ_by_rank_one_boundary_term(alpha, m):
     got = dense_operator(MethodKind.SUBSTITUTION, o, h, m) - dense_operator(MethodKind.BYPARTS, o, h, m)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # built that way: one kernel, and edge columns that differ only on 0-4
-    subst = operator_for(MethodKind.SUBSTITUTION, o, h, m)
-    byparts = operator_for(MethodKind.BYPARTS, o, h, m)
+    subst, byparts = fractional_operators(o, h, m)
     assert np.array_equal(subst.rev, byparts.rev)
     assert np.array_equal(subst.cols, byparts.cols)
     differs = (subst.edge != byparts.edge).any(axis=0)
@@ -232,22 +230,10 @@ def test_methods_differ_by_rank_one_boundary_term(alpha, m):
 @pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["n=1", "n=2"])
 @pytest.mark.parametrize("m", [8, 12, 36, 1000])
 def test_byparts_operator_shares_the_substitution_kernel(alpha, m):
-    # built together, the two methods hold one kernel, and by-parts' edge
-    # columns are summed as if it were built alone: bit for bit
+    # the two methods' operators of one term hold one kernel
     o = FractionalOrder(alpha)
-    subst, byparts = fractional_operators(o.effective, o.n, 1.0 / m, m)
+    subst, byparts = fractional_operators(o, 1.0 / m, m)
     assert byparts.kernel is subst.kernel
-    alone = fractional_operator(MethodKind.BYPARTS, o.effective, o.n, 1.0 / m, m)
-    assert alone.kernel is not subst.kernel
-    for a, b in (
-        (byparts.rev, alone.rev),
-        (byparts.kernel.spectrum, alone.kernel.spectrum),
-        (byparts.cols, alone.cols),
-        (byparts.edge, alone.edge),
-        (byparts.kernel.window(min(32, m)), alone.kernel.window(min(32, m))),
-    ):
-        assert a.tobytes() == b.tobytes()
-    assert subst.edge.tobytes() == operator_for(MethodKind.SUBSTITUTION, o, 1.0 / m, m).edge.tobytes()
     # abs() of either operator shares the one kernel of absolute values
     assert abs(subst).kernel is abs(byparts).kernel is subst.kernel.magnitude
 
@@ -258,7 +244,7 @@ def test_products_transform_u_once_for_every_operator(m):
     # for the floor's abs(A_i) @ |u|
     h = 1.0 / m
     orders = [FractionalOrder(a) for a in (0.3, 0.9, 1.5)]
-    ops = [A for o in orders for A in fractional_operators(o.effective, o.n, h, m)]
+    ops = [A for o in orders for A in fractional_operators(o, h, m)]
     u = np.random.default_rng(m).normal(size=m + 1)
     for A, Au in zip(ops, products(ops, u)):
         assert Au.tobytes() == (A @ u).tobytes()

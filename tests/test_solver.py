@@ -12,13 +12,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from dense_stencils import operator_of
 
 from fracdual import operators, solver
 from fracdual.bench import load_fixture
 from fracdual.caputo import FractionalOrder, GridFunction, MethodKind
 from fracdual.expr import evaluate, parse_expression
 from fracdual.dual import dual_solve
-from fracdual.operators import ToeplitzOperator, operator_for
+from fracdual.operators import ToeplitzOperator
 from fracdual.solver import (
     _BANDWIDTH,
     _BLOCK,
@@ -30,7 +31,7 @@ from fracdual.solver import (
     TermSpec,
     _newton,
     _solve_upper_banded,
-    _Workspace,
+    _workspace,
     assemble_residual,
     grid_size,
     solve,
@@ -65,6 +66,13 @@ class TestSpecValidation:
             simple_eq(alpha=0.5, du0=0.0)
         with pytest.raises(ValueError):
             simple_eq(alpha=1.0, du0=0.0)  # integer order 1 keeps one condition
+
+    def test_method_must_be_a_method_kind(self):
+        eq, cfg = simple_eq(), SolverConfig(h=0.1)
+        with pytest.raises(ValueError, match="method must be a MethodKind, got 'subst'"):
+            solve(eq, cfg, "subst")
+        with pytest.raises(ValueError, match="method must be a MethodKind, got None"):
+            assemble_residual(eq, cfg, None, GridFunction(0.1, np.zeros(11)))
 
     def test_mixed_orders_follow_max(self):
         eq = EquationSpec(
@@ -156,7 +164,7 @@ class TestGridAndLayout:
             for method in MethodKind:
                 r = assemble_residual(eq, SolverConfig(h=h), method, GridFunction(h, u))
                 assert r.values.shape == (m + 1,)
-                ws = _Workspace(eq, SolverConfig(h=h), method)
+                ws = _workspace(eq, SolverConfig(h=h), method)
                 J = ws.jacobian(u, ws.residual_terms(u)[1])[0](0, m + 1, 0, m + 1)
                 assert J.shape == (m + 1, m + 1)
 
@@ -220,7 +228,7 @@ class TestResidual:
             ic_u0=0.2,
             ic_du0=0.5,
         )
-        ws = _Workspace(eq, SolverConfig(h=0.1), method)
+        ws = _workspace(eq, SolverConfig(h=0.1), method)
         u = 0.2 + 0.5 * ws.x - 0.3 * ws.x**2
         J = ws.jacobian(u, ws.residual_terms(u)[1])[0](0, ws.m + 1, 0, ws.m + 1)
         r = ws.residual(u)
@@ -239,7 +247,7 @@ class TestResidual:
         # differences to exactly 1 at a nonzero iterate, and with K = 1 the
         # diagonal is the operator's own entry less 1
         eq = simple_eq(alpha=alpha, forcing="sin(x)", rhs="u", du0=0.5 if alpha > 1 else None)
-        ws = _Workspace(eq, SolverConfig(h=0.05), method)
+        ws = _workspace(eq, SolverConfig(h=0.05), method)
         u = 0.3 + 0.5 * ws.x - 0.7 * np.sin(3 * ws.x)
         J = ws.jacobian(u, ws.residual_terms(u)[1])[0](0, ws.m + 1, 0, ws.m + 1)
         (A,) = ws.ops
@@ -277,7 +285,7 @@ class TestResidual:
         xc, uc = x[nic:], u[nic:]
         acc = np.abs(evaluate(eq.forcing, xc, uc)) + np.abs(evaluate(eq.rhs, xc, uc))
         for t in eq.terms:
-            A = operator_for(method, t.order, h, m).block(0, m + 1, 0, m + 1)
+            A = operator_of(method, t.order, h, m).block(0, m + 1, 0, m + 1)
             acc = acc + np.abs(evaluate(t.coeff, xc, uc)) * (np.abs(A) @ np.abs(u))[nic:]
         expected = max(float(np.max(acc)), abs(u[0]) + abs(eq.ic_u0))
         if nic == 2:
@@ -285,7 +293,7 @@ class TestResidual:
             du0 = np.abs(fwd.coefficients) @ np.abs(u[:3]) / (fwd.denominator * h)
             expected = max(expected, float(du0) + abs(eq.ic_du0))
         assert (expected == float(np.max(acc))) == (scale == "1")
-        got = _Workspace(eq, SolverConfig(h=h), method).residual_terms(u)[2]()
+        got = _workspace(eq, SolverConfig(h=h), method).residual_terms(u)[2]()
         assert abs(got - expected) <= 1e-14 * expected
 
     def test_domain_error_reports_node(self):
@@ -367,7 +375,7 @@ class TestSolve:
         cfg = problem.config()
         sol = solve(problem.equation, cfg, MethodKind.SUBSTITUTION)
         assert (sol.newton_iters, sol.failure) == (1, "no convergence in 1 iterations")
-        ws = _Workspace(problem.equation, cfg, MethodKind.SUBSTITUTION)
+        ws = _workspace(problem.equation, cfg, MethodKind.SUBSTITUTION)
         start = np.full(ws.m + 1, problem.equation.ic_u0)
         assert not np.array_equal(sol.u.values, start)
         assert np.array_equal(sol.residual.values, ws.residual(sol.u.values))
@@ -403,7 +411,7 @@ class TestSolve:
     def test_overflowing_starting_residual_is_a_domain_failure(self):
         # exp(1000*x) overflows from x = 0.71 on: node 8 at h = 0.1
         eq = simple_eq(forcing="exp(1000*x)", rhs="u")
-        ws = _Workspace(eq, SolverConfig(h=0.1), MethodKind.SUBSTITUTION)
+        ws = _workspace(eq, SolverConfig(h=0.1), MethodKind.SUBSTITUTION)
         message = "non-finite starting residual at node 8"
         assert _newton(ws, np.zeros(ws.m + 1)) == (None, None, 0, message)
         sol = solve(eq, SolverConfig(h=0.1), MethodKind.SUBSTITUTION)
@@ -414,7 +422,7 @@ class TestSolve:
         # leaves ln's domain, so the solve ends on that iterate
         eq = simple_eq(alpha=1.0, coeff="ln(u)", forcing="ln(u)", rhs="u^2", u0=1.0)
         cfg = SolverConfig(h=0.1)
-        ws = _Workspace(eq, cfg, MethodKind.BYPARTS)
+        ws = _workspace(eq, cfg, MethodKind.BYPARTS)
         u, r, iters, failure = _newton(ws, np.ones(ws.m + 1))
         assert (iters, failure) == (5, "expression domain error at every damping level")
         delta = _solve_upper_banded(*ws.jacobian(u, ws.residual_terms(u)[1]), -r)
@@ -441,7 +449,7 @@ class TestSolve:
         # Newton from u = 0 fails for both methods; from u = 2x it converges
         eq = simple_eq(alpha=1.2, rhs="exp(u)", du0=2.0)
         cfg = SolverConfig(h=0.02)
-        ws = _Workspace(eq, cfg, method)
+        ws = _workspace(eq, cfg, method)
         assert _newton(ws, np.zeros(ws.m + 1))[3] is not None
         _u, _r, iters, failure = _newton(ws, 2.0 * ws.x)
         assert failure is None
@@ -455,7 +463,7 @@ class TestSolve:
         # the cold start u = 1; the exact solution is u = 1 + x
         eq = simple_eq(forcing="ln(1 + x) - 2*sqrt(x/pi)", rhs="ln(u)", u0=1.0)
         cfg = SolverConfig(h=0.1)
-        assert _newton(_Workspace(eq, cfg, method), np.full(11, -1.0))[0] is None
+        assert _newton(_workspace(eq, cfg, method), np.full(11, -1.0))[0] is None
         cold = solve(eq, cfg, method)
         seeded = solve(eq, cfg, method, start=np.full(11, -1.0))
         assert cold.converged
@@ -579,7 +587,7 @@ class TestBandedStep:
             ic_u0=0.2,
             ic_du0=0.5 if alphas[0] > 1.0 else None,
         )
-        ws = _Workspace(eq, SolverConfig(h=1.0), method)
+        ws = _workspace(eq, SolverConfig(h=1.0), method)
         u = 0.2 + 0.5 * np.sin(ws.x)
         r, parts, _scale = ws.residual_terms(u)
         block, below = ws.jacobian(u, parts)
@@ -602,7 +610,7 @@ class TestBandedStep:
             ic_u0=0.2,
             ic_du0=0.5 if alphas[0] > 1.0 else None,
         )
-        ws = _Workspace(eq, SolverConfig(h=1.0 / m), method)
+        ws = _workspace(eq, SolverConfig(h=1.0 / m), method)
         u = 0.2 + 0.5 * np.sin(ws.x)
         block, _below = ws.jacobian(u, ws.residual_terms(u)[1])
         n = m + 1
@@ -615,7 +623,7 @@ class TestBandedStep:
             assert block(k, f, k, f).tobytes() == fresh[k:f, k:f].tobytes()
 
     def test_singular_jacobian_is_non_convergence(self, monkeypatch):
-        ws = _Workspace(simple_eq(forcing="sin(x)"), SolverConfig(h=0.1), MethodKind.BYPARTS)
+        ws = _workspace(simple_eq(forcing="sin(x)"), SolverConfig(h=0.1), MethodKind.BYPARTS)
         jacobian = ws.jacobian
 
         def singular(u, parts):
@@ -636,7 +644,7 @@ class TestBandedStep:
     def test_vanishing_coefficient_is_a_singular_step(self, method):
         # K = x - 0.5 vanishes at node 5 and nothing else in row 5 depends
         # on u, so that row of J is exactly zero
-        ws = _Workspace(simple_eq(coeff="x - 0.5", forcing="sin(x)"), SolverConfig(h=0.1), method)
+        ws = _workspace(simple_eq(coeff="x - 0.5", forcing="sin(x)"), SolverConfig(h=0.1), method)
         u = np.zeros(ws.m + 1)
         r, parts, _scale = ws.residual_terms(u)
         assert not ws.jacobian(u, parts)[0](5, 6, 0, ws.m + 1).any()
@@ -652,12 +660,12 @@ class TestBandedStep:
         # every operator and Jacobian row stops _BANDWIDTH columns right of
         # the diagonal; by-parts row 1 reaches exactly that far
         order = FractionalOrder(alpha)
-        A = operator_for(method, order, 1.0 / m, m).block(0, m + 1, 0, m + 1)
+        A = operator_of(method, order, 1.0 / m, m).block(0, m + 1, 0, m + 1)
         assert not np.triu(A, _BANDWIDTH + 1).any()
         if method is MethodKind.BYPARTS:
             assert A[1, 1 + _BANDWIDTH] != 0.0
         eq = simple_eq(alpha=alpha, coeff="1 + x*u", forcing="u^2", du0=0.5 if alpha > 1.0 else None)
-        ws = _Workspace(eq, SolverConfig(h=1.0 / m), method)
+        ws = _workspace(eq, SolverConfig(h=1.0 / m), method)
         assert ws.n_ic == (2 if alpha > 1.0 else 1)
         u = 0.3 + 0.5 * ws.x
         J = ws.jacobian(u, ws.residual_terms(u)[1])[0](0, m + 1, 0, m + 1)

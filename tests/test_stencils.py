@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dense_stencils import difference_matrix_3pt, differentiation_matrix
-from fracdual.caputo import MethodKind
-from fracdual.operators import fractional_operator
+from fracdual.caputo import FractionalOrder
+from fracdual.operators import fractional_operators
 from fracdual.stencils import (
     STENCILS,
     apply_rows,
@@ -124,7 +124,7 @@ def test_window_length_mismatch():
         (lambda: apply_stencil(4, "forward", np.zeros(6), 0.1), "orders are 1-3"),
         (lambda: apply_stencil(1, "sideways", np.zeros(3), 0.1), "placements forward, central and backward"),
         (lambda: differentiation_rows(4, 0.1), "orders are 1-3"),
-        (lambda: fractional_operator(MethodKind.SUBSTITUTION, 3.5, 4, 0.1, 10), "orders are 1-3"),
+        (lambda: next(fractional_operators(FractionalOrder(3.5), 0.1, 10)), "orders are 1-3"),
     ],
     ids=["nan step", "inf step", "zero step", "rows nan step", "order 4", "placement", "rows order 4", "operator n=4"],
 )

@@ -3,10 +3,11 @@
 A profile supplies analytic derivative samples (isolating quadrature
 error from reconstruction error), several orders per call so that they
 may share f's transcendental, and an independent value for
-D^alpha f: the truncated series for the named transcendentals, the
-monomial rule for powers. Power profiles with beta - d < 0 are singular
-at x = 0; their sample there follows the IEEE limit (inf) and
-propagates honestly through whatever consumes it.
+D^alpha f: the truncated series for the named transcendentals (refused
+where its terms run out before it converges), the monomial rule for
+powers. Power profiles with beta - d < 0 are singular at x = 0; their
+sample there follows the IEEE limit (inf) and propagates honestly
+through whatever consumes it.
 """
 
 from __future__ import annotations
@@ -18,11 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .caputo import FractionalOrder, caputo_power, caputo_taylor, tan_taylor_coeffs
+from .caputo import FractionalOrder, TaylorNonConvergence, caputo_power, caputo_taylor, tan_taylor_coeffs
 from .special_functions import gamma
 
 __all__ = ["DerivativeProfile", "get_profile", "PROFILE_NAMES"]
 
+# The series oracles sum f^(k)(0) for k <= _SERIES_TERMS; the profiles
+# give them k up to _SERIES_TERMS + 2, where the first nonzero term past
+# those lies for tan, sin, cos and exp.
 _SERIES_TERMS = 48
 
 
@@ -34,6 +38,28 @@ class DerivativeProfile:
     # (orders, x) -> one array of d-th derivative samples per order d >= 0
     derivative: Callable[[tuple[int, ...], np.ndarray], tuple[np.ndarray, ...]]
     oracle: Callable[[FractionalOrder, float], float]
+
+
+def _series_oracle(name: str, coeffs):
+    """``caputo_taylor`` over f^(k)(0) = coeffs[k] for k <= _SERIES_TERMS.
+    The sum stands only if the first nonzero term past those, from the rest
+    of ``coeffs``, is within the stop rule's 1e-16 of it: else the terms
+    ran out first, and the oracle raises TaylorNonConvergence."""
+    kept = coeffs[: _SERIES_TERMS + 1]
+    k = next(k for k in range(len(kept), len(coeffs)) if coeffs[k] != 0.0)
+
+    def oracle(ordr: FractionalOrder, x: float) -> float:
+        total, a = caputo_taylor(kept, ordr, x), ordr.effective
+        with np.errstate(over="ignore"):  # a term past the double range fails the test as inf
+            rest = coeffs[k] * np.float64(x) ** (k - a) / math.gamma(k + 1.0 - a)
+        if abs(rest) > 1e-16 * abs(total):
+            raise TaylorNonConvergence(
+                f"{name} series has not converged in {len(kept)} terms at x={x}: "
+                f"the next term is {rest:.3g} against the sum {total:.6g}"
+            )
+        return total
+
+    return oracle
 
 
 def _each_order(deriv):
@@ -60,19 +86,18 @@ def _tan_profile() -> DerivativeProfile:
         s = 1.0 + t * t
         return tuple(_tan_derivative(d, t, s) for d in orders)
 
-    coeffs = tan_taylor_coeffs(_SERIES_TERMS)
-    return DerivativeProfile("tan", samples, lambda ordr, x: caputo_taylor(coeffs, ordr, x))
+    return DerivativeProfile("tan", samples, _series_oracle("tan", tan_taylor_coeffs(_SERIES_TERMS + 2)))
 
 
 def _cycle_profile(name, fns):
     """f whose d-th derivative is fns[d % 4]; the series takes f^(k)(0) from them."""
-    coeffs = [float(fns[k % 4](0.0)) for k in range(_SERIES_TERMS + 1)]
+    coeffs = [float(fns[k % 4](0.0)) for k in range(_SERIES_TERMS + 3)]
 
     def samples(orders, x):
         values = {f: f(x) for f in {fns[d % 4] for d in orders}}  # exp's orders share one np.exp
         return tuple(values[fns[d % 4]] for d in orders)
 
-    return DerivativeProfile(name, samples, lambda ordr, x: caputo_taylor(coeffs, ordr, x))
+    return DerivativeProfile(name, samples, _series_oracle(name, coeffs))
 
 
 def _const1_profile():

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -209,31 +208,21 @@ class _Workspace:
     # overflow makes a non-finite residual, which the Newton loop rejects
     @np.errstate(over="ignore", invalid="ignore")
     def residual_terms(self, u: np.ndarray):
-        """The residual of u, the parts it was formed from (f, g, every K_i
-        and every product A_i @ u), and its rounding floor as a function
-        ``floor()``, formed only when called: see ``floor_scale``."""
+        """The residual of u and the parts it was formed from: f, g, every
+        K_i and every product A_i @ u, which ``jacobian`` and ``floor_scale``
+        take with u."""
         parts = (*self._parts(u[self.n_ic :]), products(self.ops, u))
-        r = self._sum(u, *parts, self.ic_rows, self.ic_vals)
-        return r, parts, lambda: self.floor_scale(u, *parts[:3])
-
-    @cached_property
-    def abs_ops(self):
-        """abs(A_i) for every term, formed at the first floor test that needs them."""
-        return [abs(A) for A in self.ops]
+        return self._sum(u, *parts, self.ic_rows, self.ic_vals), parts
 
     @np.errstate(over="ignore", invalid="ignore")
-    def floor_scale(self, u: np.ndarray, f, g, Ks) -> float:
-        """The scale the residual's sums cancel over: the largest row of
-        their sum over absolute values (x - -|y| is x + |y|)."""
+    def floor_scale(self, u: np.ndarray, parts: tuple) -> float:
+        """The scale the residual of u cancels over, from its ``parts``: the
+        largest row of their sum over absolute values (x - -|y| is x + |y|).
+        Each abs(A_i) is formed here, on its kernel's cached |rev|."""
+        f, g, Ks, _ = parts
         au = np.abs(u)
-        Ks = [np.abs(K) for K in Ks]
-        scale = self._sum(
-            au, np.abs(f), -np.abs(g), Ks, products(self.abs_ops, au), np.abs(self.ic_rows), -np.abs(self.ic_vals)
-        )
-        return float(np.max(scale))
-
-    def residual(self, u: np.ndarray) -> np.ndarray:
-        return self.residual_terms(u)[0]
+        abs_parts = np.abs(f), -np.abs(g), [np.abs(K) for K in Ks], products([abs(A) for A in self.ops], au)
+        return float(np.max(self._sum(au, *abs_parts, np.abs(self.ic_rows), -np.abs(self.ic_vals))))
 
     def jacobian(self, u: np.ndarray, parts: tuple):
         """Forward-difference Jacobian J, column step 1e-7*(1+|u_j|), as the
@@ -355,13 +344,14 @@ def assemble_residual(
         raise ValueError(
             f"candidate grid (h={candidate.h}, m={candidate.m}) does not match config (h={cfg.h}, m={ws.m})"
         )
-    return GridFunction(cfg.h, ws.residual(np.asarray(candidate.values, dtype=float)))
+    return GridFunction(cfg.h, ws.residual_terms(np.asarray(candidate.values, dtype=float))[0])
 
 
-def _converged(r: np.ndarray, u: np.ndarray, floor) -> bool:
-    # the floor is formed only when the tolerance test fails
+def _converged(ws: _Workspace, u: np.ndarray, r: np.ndarray, parts: tuple) -> bool:
+    """max|r| within NEWTON_TOL of u, or at the rounding floor of the
+    iterate (u, r, parts), which is formed only when the first test fails."""
     rmax, tol = float(np.max(np.abs(r))), NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
-    return rmax <= tol or rmax <= RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * floor()
+    return rmax <= tol or rmax <= RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * ws.floor_scale(u, parts)
 
 
 def _newton(ws: _Workspace, u0: np.ndarray):
@@ -370,15 +360,14 @@ def _newton(ws: _Workspace, u0: np.ndarray):
     whose residual cannot be formed leaves no iterate: u = r = None."""
     u = u0.copy()
     try:
-        r, parts, floor = ws.residual_terms(u)
+        r, parts = ws.residual_terms(u)
     except ResidualDomainError as exc:
         return None, None, 0, str(exc)
     bad = np.flatnonzero(~np.isfinite(r))
     if bad.size:
         return None, None, 0, f"non-finite starting residual at node {bad[0]}"
-    iters = 0
-    for _ in range(NEWTON_MAX_ITER):
-        if _converged(r, u, floor):
+    for iters in range(NEWTON_MAX_ITER):
+        if _converged(ws, u, r, parts):
             return u, r, iters, None
         try:
             delta = _solve_upper_banded(*ws.jacobian(u, parts), -r)
@@ -387,27 +376,22 @@ def _newton(ws: _Workspace, u0: np.ndarray):
         except np.linalg.LinAlgError:
             return u, r, iters, "singular Newton step"
         rnorm = float(np.max(np.abs(r)))
-        lam = 1.0
-        accepted = None
-        domain_blocked = True
+        lam, failure = 1.0, "expression domain error at every damping level"
         while lam >= DAMPING_MIN:
             trial = u + lam * delta
-            try:
-                terms = ws.residual_terms(trial)
-            except ResidualDomainError:
-                lam *= 0.5
-                continue
-            domain_blocked = False
-            if np.isfinite(terms[0]).all() and float(np.max(np.abs(terms[0]))) < rnorm:
-                accepted = (trial, *terms)
-                break
             lam *= 0.5
-        if accepted is None:
-            blocked = "expression domain error at every damping level"
-            return u, r, iters, blocked if domain_blocked else "line search found no decrease"
-        u, r, parts, floor = accepted
-        iters += 1
-    return u, r, iters, None if _converged(r, u, floor) else f"no convergence in {NEWTON_MAX_ITER} iterations"
+            try:
+                trial_r, trial_parts = ws.residual_terms(trial)
+            except ResidualDomainError:
+                continue
+            failure = "line search found no decrease"
+            if np.isfinite(trial_r).all() and float(np.max(np.abs(trial_r))) < rnorm:
+                break
+        else:
+            return u, r, iters, failure
+        u, r, parts = trial, trial_r, trial_parts
+    converged = _converged(ws, u, r, parts)
+    return u, r, NEWTON_MAX_ITER, None if converged else f"no convergence in {NEWTON_MAX_ITER} iterations"
 
 
 def dual_workspaces(eq: EquationSpec, cfg: SolverConfig):

@@ -386,6 +386,15 @@ def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
             "derivative --f exp --alpha 0.4 --h 100000 --points 1e10",
             "series term overflow at k=32, x=10000000000.0",
         ),
+        # the 49 series terms run out before the stop rule fires
+        (
+            "derivative --f sin --alpha 0.4 --h 0.01 --points 20",
+            "sin series has not converged in 49 terms at x=20.0: the next term is 13.3 against the sum -10.4604",
+        ),
+        (
+            "derivative --f tan --alpha 0.4 --h 0.01 --points 1.2",
+            "tan series has not converged in 49 terms at x=1.2: the next term is 1.05e-05 against the sum 3.78944",
+        ),
     ],
     ids=[
         "zero_step",
@@ -402,6 +411,8 @@ def test_overflow_in_both_sides_warns_nothing(tmp_path, capsys):
         "overflowing_exponent",
         "huge_exponent",
         "series_overflow",
+        "sin_series_runs_out",
+        "tan_series_runs_out",
     ],
 )
 def test_bad_numeric_input_exits_2(tmp_path, capsys, args, message):

@@ -269,6 +269,34 @@ def test_forcing_padded_with_a_thousand_zero_terms_solves_the_same(solved_fixtur
         assert sol.newton_iters == want.newton_iters
 
 
+# (verdict, substitution's (Newton steps, failure), by-parts' ...) of each
+# shipped fixture at its own h; by-parts starts from substitution's u
+_FIXTURE_NEWTON = {
+    "linear_x12": ("Reliable", (1, None), (1, None)),
+    "linear_sqrt": ("Unreliable", (1, None), (1, None)),
+    "linear_quarter": ("Reliable", (1, None), (1, None)),
+    "linear_hundredth": ("Reliable", (1, None), (1, None)),
+    "quasilinear_tan": ("Reliable", (4, None), (2, None)),
+    "quasilinear_tan_exact": ("Reliable", (4, None), (2, None)),
+    "twoterm_sine": ("Reliable", (4, None), (2, None)),
+    "semilinear_unstable": (
+        "MethodFailed(substitution,byparts)",
+        (2, "line search found no decrease"),
+        (1, "line search found no decrease"),
+    ),
+    "semilinear_stable": ("Reliable", (3, None), (2, None)),
+    "semilinear_cubic": ("Reliable", (6, None), (2, None)),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_newton_counts_and_failures_are_pinned(name, solved_fixture):
+    _problem, report = solved_fixture(name)
+    sols = report.sol_subst, report.sol_byparts
+    got = (str(report.verdict), *((sol.newton_iters, sol.failure) for sol in sols))
+    assert got == _FIXTURE_NEWTON[name]
+
+
 def test_dual_report_carries_both_solutions(solved_fixture):
     _problem, report = solved_fixture("linear_x12")
     assert report.sol_subst.method is MethodKind.SUBSTITUTION

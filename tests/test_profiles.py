@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracdual.caputo import FractionalOrder
+from fracdual.caputo import FractionalOrder, TaylorNonConvergence, caputo_taylor, tan_taylor_coeffs
 from fracdual.profiles import get_profile
 
 
@@ -62,6 +62,23 @@ def test_const1_oracle_zero():
 def test_tan_profile_oracle_matches_series_benchmark():
     profile = get_profile("tan")
     assert profile.oracle(FractionalOrder(0.4), 0.1) == pytest.approx(0.2824821555, abs=1e-9)
+
+
+@pytest.mark.parametrize("name, x", [("tan", 0.8), ("sin", 10.0), ("cos", 10.0), ("exp", 20.0)])
+def test_series_oracle_refuses_a_sum_whose_terms_ran_out(name, x):
+    # the 49 terms run out before three of them fall below 1e-16 of the sum,
+    # and the next nonzero term does not
+    with pytest.raises(TaylorNonConvergence, match=f"^{name} series has not converged in 49 terms at x={x}: "):
+        get_profile(name).oracle(FractionalOrder(0.4), x)
+
+
+@pytest.mark.parametrize("alpha", [1.3, 1.7])
+def test_series_oracle_keeps_a_sum_whose_next_term_is_below_the_stop_rule(alpha):
+    # at x = 0.6 tan's 49 terms run out too, with the next one under 6e-18 of the sum
+    order = FractionalOrder(alpha)
+    got = get_profile("tan").oracle(order, 0.6)
+    assert got == caputo_taylor(tan_taylor_coeffs(48), order, 0.6)
+    assert tan_taylor_coeffs(49)[49] * 0.6 ** (49 - alpha) / math.gamma(50 - alpha) < 6e-18 * got
 
 
 @pytest.mark.parametrize("name", ["tan", "sin", "cos", "exp", "const1", "x^1.2"])

@@ -59,8 +59,10 @@ TABLE1_H = 1e-4
 # Most samples m = x/h a derivative row takes: a bound on its time (under
 # 0.2 s at 10^7), far above the 6*10^5 of the h = 1e-6 rows.
 MAX_DERIVATIVE_SAMPLES = 10**7
-# Nodes per block of a derivative row, which holds no array of m samples.
-# Of 2048, 8192, 32768 and 131072, 8192 ran the h = 1e-6 rows fastest.
+# Nodes per block of a derivative row, which holds no array of m samples;
+# its per-row tables (offsets, and sin's and cos's shifts) hold at most
+# _ROW_BLOCK + 1 entries. Of 2048, 8192, 32768 and 131072, 8192 ran the
+# h = 1e-6 rows fastest.
 _ROW_BLOCK = 8192
 # Most points a start:stop:step range may name; each point is one row.
 MAX_TABLE_POINTS = 10**5
@@ -155,18 +157,23 @@ def _row_rules(profile, order: FractionalOrder, h: float, m: int) -> tuple[float
     """
     nan = float("nan")
     p = order.n - order.effective
+    orders = (order.n, order.n + 1)
+    # k - k0 for a block's nodes: its x_k = (k0 + j)*h and t - x_k = ((m - k0) - j)*h,
+    # exact in floats as every value is an integer below 2^53
+    j = np.arange(min(_ROW_BLOCK, m) + 1, dtype=float)
+    at = profile.shifted(orders, j * h) if profile.shifted else None
     sub = byp = 0.0
     byp_ok = True
     for k0 in range(0, m, _ROW_BLOCK):
-        k1 = min(k0 + _ROW_BLOCK, m)
-        xs = np.arange(k0, k1 + 1) * h
+        js = j[: min(_ROW_BLOCK, m - k0) + 1]
         with np.errstate(over="ignore"):  # an overflowing sample is inf, and its rule nan
-            gn, gp = (np.asarray(g, dtype=float) for g in profile.derivative((order.n, order.n + 1), xs))
+            samples = at(k0 * h, js.size) if at else profile.derivative(orders, (k0 + js) * h)
+            gn, gp = (np.asarray(g, dtype=float) for g in samples)
             gp = gp[:-1]
         if not np.isfinite(gn).all():
             return nan, nan
         byp_ok = byp_ok and bool(np.isfinite(gp).all())
-        u = step_powers(p, h, m - np.arange(k0, k1 + 1, dtype=float))
+        u = step_powers(p, h, (m - k0) - js)
         sub += substitution_sum(gn, u)
         if byp_ok:
             byp += byparts_sum(gp, u[:-1], h, float(gn[0]) if k0 == 0 else None)
@@ -198,8 +205,8 @@ def derivative_table(profile_name: str, alpha: float, h: float, points):
             raise ValueError(f"point {x} is below the step {h}: the rules need x >= h")
         if abs(ratio - m) > 1e-8 * m:  # in steps, as solver.grid_size
             raise ValueError(f"point {x} is not on the step-{h} grid")
+        oracle = profile.oracle(order, float(x))  # first, as a refused oracle ends the table
         sub, byp = _row_rules(profile, order, h, m)
-        oracle = profile.oracle(order, float(x))
         rows.append((float(x), oracle, sub, abs(sub - oracle), byp, abs(byp - oracle)))
     return rows
 

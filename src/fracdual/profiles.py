@@ -2,7 +2,9 @@
 
 A profile supplies analytic derivative samples (isolating quadrature
 error from reconstruction error), several orders per call so that they
-may share f's transcendental, and an independent value for
+may share f's transcendental; ``sin`` and ``cos`` also supply them at
+a + t for a table t they are given once (``DerivativeProfile.shifted``).
+It also supplies an independent value for
 D^alpha f: the truncated series for the named transcendentals (refused
 where its terms run out before it converges), the monomial rule for
 powers. Power profiles with beta - d < 0 are singular at x = 0; their
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,6 +30,8 @@ __all__ = ["DerivativeProfile", "get_profile", "PROFILE_NAMES"]
 # give them k up to _SERIES_TERMS + 2, where the first nonzero term past
 # those lies for tan, sin, cos and exp.
 _SERIES_TERMS = 48
+# f^(k)(0) of tan, an O(K^2) big-integer recurrence worth computing once.
+_TAN_COEFFS = tan_taylor_coeffs(_SERIES_TERMS + 2)
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,12 @@ class DerivativeProfile:
     # (orders, x) -> one array of d-th derivative samples per order d >= 0
     derivative: Callable[[tuple[int, ...], np.ndarray], tuple[np.ndarray, ...]]
     oracle: Callable[[FractionalOrder, float], float]
+    # (orders, t) -> at(a, size): the same samples at a + t[:size]. A derivative
+    # row builds it once and shifts t to each block's start a; None where
+    # sampling at a + t costs no more (every profile but sin and cos).
+    shifted: Optional[
+        Callable[[tuple[int, ...], np.ndarray], Callable[[float, int], tuple[np.ndarray, ...]]]
+    ] = None
 
 
 def _series_oracle(name: str, coeffs):
@@ -86,18 +96,44 @@ def _tan_profile() -> DerivativeProfile:
         s = 1.0 + t * t
         return tuple(_tan_derivative(d, t, s) for d in orders)
 
-    return DerivativeProfile("tan", samples, _series_oracle("tan", tan_taylor_coeffs(_SERIES_TERMS + 2)))
+    return DerivativeProfile("tan", samples, _series_oracle("tan", _TAN_COEFFS))
 
 
-def _cycle_profile(name, fns):
-    """f whose d-th derivative is fns[d % 4]; the series takes f^(k)(0) from them."""
-    coeffs = [float(fns[k % 4](0.0)) for k in range(_SERIES_TERMS + 3)]
+def _quarter_turns(s, c):
+    """sin(x + q*pi/2) for q = 0..3 from s = sin(x) and c = cos(x)."""
+    return (s, c, -s, -c)
+
+
+def _trig_profile(name: str, phase: int) -> DerivativeProfile:
+    """f(x) = sin(x + phase*pi/2), so f^(d)(x) = sin(x + (d + phase)*pi/2): +-sin or +-cos."""
+    coeffs = [_quarter_turns(0.0, 1.0)[(k + phase) % 4] for k in range(_SERIES_TERMS + 3)]
 
     def samples(orders, x):
-        values = {f: f(x) for f in {fns[d % 4] for d in orders}}  # exp's orders share one np.exp
-        return tuple(values[fns[d % 4]] for d in orders)
+        quarters = [(d + phase) % 4 for d in orders]
+        values = {i: (np.sin, np.cos)[i](x) for i in {q % 2 for q in quarters}}  # each at most once
+        return tuple(values[q % 2] if q < 2 else -values[q % 2] for q in quarters)
 
-    return DerivativeProfile(name, samples, _series_oracle(name, coeffs))
+    def shifted(orders, t):
+        sin_t, cos_t = np.sin(t), np.cos(t)
+
+        def at(a, size):
+            # f^(d)(a + t) = f^(d)(a) cos t + f^(d+1)(a) sin t, as f'' = -f
+            turns = _quarter_turns(math.sin(a), math.cos(a))
+            return tuple(
+                turns[(d + phase) % 4] * cos_t[:size] + turns[(d + phase + 1) % 4] * sin_t[:size] for d in orders
+            )
+
+        return at
+
+    return DerivativeProfile(name, samples, _series_oracle(name, coeffs), shifted)
+
+
+def _exp_profile() -> DerivativeProfile:
+    def samples(orders, x):
+        e = np.exp(x)  # every order shares one np.exp
+        return tuple(e for _ in orders)
+
+    return DerivativeProfile("exp", samples, _series_oracle("exp", [1.0] * (_SERIES_TERMS + 3)))
 
 
 def _const1_profile():
@@ -132,9 +168,9 @@ def _power_profile(beta: float) -> DerivativeProfile:
 
 _NAMED = {
     "tan": _tan_profile,
-    "sin": lambda: _cycle_profile("sin", (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))),
-    "cos": lambda: _cycle_profile("cos", (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin)),
-    "exp": lambda: _cycle_profile("exp", (np.exp,) * 4),
+    "sin": lambda: _trig_profile("sin", 0),
+    "cos": lambda: _trig_profile("cos", 1),
+    "exp": _exp_profile,
     "const1": _const1_profile,
 }
 

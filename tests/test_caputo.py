@@ -256,18 +256,54 @@ def test_derivative_row_memory_is_a_few_blocks():
     assert peak < 2 * 2**20
 
 
-@pytest.mark.parametrize("m", [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 7])
+_ROW_SIZES = [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 7]
+
+
+@pytest.mark.parametrize("m", _ROW_SIZES)
 @pytest.mark.parametrize("alpha", [0.4, 1.3])
-def test_derivative_row_blocks_match_whole_range_rules(alpha, m):
+def test_derivative_row_blocks_match_whole_range_rules(alpha, m, name="tan"):
+    # the whole-range samples are the profile's own, at each x; sin's and
+    # cos's row shifts one per-row table to each block's start instead
     h = 1e-5
     o = FractionalOrder(alpha)
     xs = np.arange(m + 1) * h
-    gn, gp = get_profile("tan").derivative((o.n, o.n + 1), xs)
+    gn, gp = get_profile(name).derivative((o.n, o.n + 1), xs)
     sub = caputo_substitution(GridFunction(h, gn), o, m)
     byp = caputo_byparts(float(gn[0]), GridFunction(h, gp), o, m)
-    (row,) = derivative_table("tan", alpha, h, [m * h])
+    (row,) = derivative_table(name, alpha, h, [m * h])
     assert abs(row[2] - sub) <= 1e-14 * abs(sub)
     assert abs(row[4] - byp) <= 1e-14 * abs(byp)
+
+
+@pytest.mark.parametrize("m", _ROW_SIZES)
+@pytest.mark.parametrize("alpha", [0.4, 1.3])
+@pytest.mark.parametrize("name", ["sin", "cos", "exp"])
+def test_derivative_row_blocks_match_whole_range_rules_of(name, alpha, m):
+    test_derivative_row_blocks_match_whole_range_rules(alpha, m, name)
+
+
+@pytest.mark.parametrize("name", ["sin", "cos"])
+def test_derivative_row_evaluates_sin_and_cos_once(monkeypatch, name):
+    # the row takes sin and cos of its offset table once and shifts them to
+    # each of its four blocks; gamma's scalar np.sin is not counted
+    sizes = {"sin": [], "cos": []}
+    for fn in sizes:
+        original = getattr(np, fn)
+        monkeypatch.setattr(np, fn, lambda x, fn=fn, original=original: sizes[fn].append(np.size(x)) or original(x))
+    profile = get_profile(name)
+    fracdual.bench._row_rules(profile, FractionalOrder(0.4), 1e-5, 3 * _ROW_BLOCK + 7)
+    calls = {fn: [n for n in got if n > 1] for fn, got in sizes.items()}
+    assert calls == {"sin": [_ROW_BLOCK + 1], "cos": [_ROW_BLOCK + 1]}
+
+
+def test_refused_oracle_ends_the_table_before_its_rules(monkeypatch):
+    # the series oracle of sin refuses x = 10, a row of m = 10^7 samples
+    def rules(*args):
+        raise AssertionError("the row's rules ran before its oracle")
+
+    monkeypatch.setattr(fracdual.bench, "_row_rules", rules)
+    with pytest.raises(TaylorNonConvergence):
+        derivative_table("sin", 0.4, 1e-6, [10.0])
 
 
 @pytest.mark.parametrize("extra,nan_columns", [(0, (2, 4)), (1, (4,))], ids=["nth", "n+1th"])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import fracdual.caputo
+import fracdual.profiles
 from fracdual.caputo import FractionalOrder, TaylorNonConvergence, caputo_taylor, tan_taylor_coeffs
 from fracdual.profiles import get_profile
 
@@ -102,3 +104,28 @@ def test_orders_asked_together_evaluate_f_once(monkeypatch, name):
     calls.clear()
     profile.derivative((1, 2), np.linspace(0.1, 0.9, 5))
     assert len(calls) == 1
+
+
+def test_tan_profile_reuses_its_series_coefficients(monkeypatch):
+    def coeffs(K):
+        raise AssertionError("tan's coefficients were computed again")
+
+    monkeypatch.setattr(fracdual.caputo, "tan_taylor_coeffs", coeffs)
+    monkeypatch.setattr(fracdual.profiles, "tan_taylor_coeffs", coeffs)
+    assert get_profile("tan").oracle(FractionalOrder(0.4), 0.1) == pytest.approx(0.2824821555, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["sin", "cos"])
+def test_shifted_samples_match_samples_at_each_node(name):
+    # f^(d)(a + t) by the addition theorem against f^(d) at the node (k0 + j)*h,
+    # a = k0*h, t = j*h; the bound covers the rounding of a, t and the node
+    profile = get_profile(name)
+    orders = tuple(range(8))  # every phase twice
+    h, j = 1e-3, np.arange(300, dtype=float)
+    at = profile.shifted(orders, j * h)
+    for k0 in (0, 1, 299, 4097, 123457, 10**6):
+        for size in (j.size, 7):
+            xs = (k0 + j[:size]) * h
+            bound = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(xs))
+            for got, want in zip(at(k0 * h, size), profile.derivative(orders, xs), strict=True):
+                assert got.shape == want.shape and np.all(np.abs(got - want) <= bound)

@@ -28,9 +28,9 @@ def main():
     print("-" * len(header))
     for name in names:
         problem = load_fixture(name)
-        t0 = time.time()
+        t0 = time.perf_counter()
         report = dual_solve(problem.equation, problem.config(), threshold=problem.threshold)
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         if problem.exact is not None:
             err_s = f"{compare_to_exact(report.sol_subst, problem.exact).sup:11.3e}"
             err_b = f"{compare_to_exact(report.sol_byparts, problem.exact).sup:11.3e}"

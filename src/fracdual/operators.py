@@ -26,8 +26,9 @@ by-parts' boundary term, the only place the two methods differ. A
 kernel, its spectrum and a strided view of it, which both methods'
 operators of one term share. It multiplies by FFT, writes dense only the
 small blocks a Newton step factors, and multiplies the strips below them
-through one window of the kernel. A block is one multiply of a slice of
-the view, patched only where it reaches the edge columns. Nothing is
+through one window of the kernel. A block is a copy of a slice of the
+view, patched only where it reaches the edge columns; off them every
+diagonal block of one size is the same slice, ``core``. Nothing is
 cached between solves: ``fractional_operators``, the one constructor,
 assembles a term's kernel once for both methods.
 """
@@ -109,28 +110,23 @@ class ToeplitzOperator:
         d[self.cols] = self.edge[self.cols, np.arange(self.cols.size)]
         return d
 
-    def block(self, k0: int, k1: int, l0: int, l1: int, K=1.0) -> np.ndarray:
-        """Dense K * A[k0:k1, l0:l1], a new array, for a scalar K or a column of k1 - k0."""
-        block = K * self.kernel.toeplitz[k0:k1, l0:l1]
-        if l0 < _EDGE or l1 > self.edge.shape[0] - _EDGE:  # the block reaches ``cols``
+    def reaches_edge(self, l0: int, l1: int) -> bool:
+        """Whether columns l0:l1 hold any of ``cols``. Off them, every
+        diagonal block A[k:k+s, k:k+s] is ``core(s)``, whatever k is."""
+        return l0 < _EDGE or l1 > self.edge.shape[0] - _EDGE
+
+    def core(self, s: int) -> np.ndarray:
+        """The kernel's s x s slice that every diagonal block A[k:k+s, k:k+s]
+        off ``cols`` equals, a read-only view."""
+        return self.kernel.toeplitz[:s, :s]
+
+    def block(self, k0: int, k1: int, l0: int, l1: int) -> np.ndarray:
+        """Dense A[k0:k1, l0:l1], a new array."""
+        block = self.kernel.toeplitz[k0:k1, l0:l1].copy()
+        if self.reaches_edge(l0, l1):
             inside = (self.cols >= l0) & (self.cols < l1)
-            block[:, self.cols[inside] - l0] = K * self.edge[k0:k1, inside]
+            block[:, self.cols[inside] - l0] = self.edge[k0:k1, inside]
         return block
-
-    def diagonal_blocks(self, starts: np.ndarray, size: int, K: np.ndarray) -> np.ndarray:
-        """Dense K[k:k+size, None] * A[k:k+size, k:k+size] for each k in
-        ``starts`` (k + size <= m + 1), stacked, for K of m + 1 entries.
-
-        Off ``cols`` every such block is the same slice of the kernel's view,
-        so all of them are one multiply; a block that reaches ``cols`` is
-        written over by ``block``."""
-        # out[p, a, b] = K[k_p + a] * A[a, b]: one outer product per row of a block
-        out = np.einsum("pa,ab->pab", K[starts[:, None] + np.arange(size)], self.kernel.toeplitz[:size, :size])
-        n = self.edge.shape[0]
-        for p, k in enumerate(starts.tolist()):
-            if k < _EDGE or k + size > n - _EDGE:
-                out[p] = self.block(k, k + size, k, k + size, K[k : k + size, None])
-        return out
 
     def strip(self, i: int, W: np.ndarray) -> np.ndarray:
         """W @ A[i:, i - w : i].T, for W of w columns and w <= i <= m + 1.
@@ -139,7 +135,7 @@ class ToeplitzOperator:
         kernel's window, apart from the ``cols`` it reaches: those add their difference."""
         n, w = self.edge.shape[0], W.shape[1]
         out = W @ self.kernel.window(w)[:, : n - i]
-        if i - w < _EDGE or i > n - _EDGE:  # the strip reaches ``cols``
+        if self.reaches_edge(i - w, i):
             q = np.flatnonzero((self.cols >= i - w) & (self.cols < i))
             j = self.cols[q]
             out += W[:, j - i + w] @ (self.edge[i:, q] - self.kernel.toeplitz[i:, j]).T

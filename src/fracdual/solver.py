@@ -55,12 +55,9 @@ DAMPING_MIN = 1.0 / 64.0
 # one-sided row 1 reaches A[1, 4] (by-parts, and substitution at n = 2).
 _BANDWIDTH = 3
 _BLOCK = 32  # rows of J per QR panel of the Newton step
-# Diagonal panel blocks formed at once: 8 * 35^2 floats stay below the
-# size from which malloc maps fresh pages for every array.
-_GATHER = 8
-# Most steps m a grid may have. A solve allocates a few (m + 1)-float
-# arrays per term before its first Newton step, so this keeps each at 8 MB
-# while leaving ten times the m = 10^5 the step is meant to reach.
+# Most steps m a grid may have, ten times the m = 10^5 the step is meant
+# to reach. A solve's largest array is each term's strip window
+# (``_Kernel.window``), _BLOCK x (m + 1 - _BLOCK) floats: 256 MB at this cap.
 MAX_GRID_STEPS = 10**6
 
 class ResidualDomainError(ValueError):
@@ -226,13 +223,12 @@ class _Workspace:
 
     def jacobian(self, u: np.ndarray, parts: tuple):
         """Forward-difference Jacobian J, column step 1e-7*(1+|u_j|), as the
-        accessors block(k0, k1, l0, l1) = J[k0:k1, l0:l1], a new array of one
-        multiply per term, and below(i, W) = W @ J[i:, i - _BLOCK : i].T
-        (i >= _BLOCK), from the operators' windows without writing that strip.
-        The Newton step's diagonal blocks J[k:k+s, k:k+s], s = _BLOCK +
-        _BANDWIDTH and k a multiple of _BLOCK, are formed _GATHER at a time,
-        one ``diagonal_blocks`` per term, as the step first asks for each run;
-        ``block`` hands each out once.
+        accessors block(k0, k1, l0, l1) = J[k0:k1, l0:l1], a new array, and
+        below(i, W) = W @ J[i:, i - _BLOCK : i].T (i >= _BLOCK), from the
+        operators' windows without writing that strip. A diagonal block off
+        the edge columns of size up to _BLOCK + _BANDWIDTH, as are the Newton
+        step's away from either end, is one einsum of the K_i with the
+        operators' shared ``core`` slices; any other is one ``block`` per term.
 
         Expression trees act pointwise, so difference column j departs from
         sum_i K_i A_i (``block``) only on the diagonal, by ``_sum`` of the
@@ -247,34 +243,24 @@ class _Workspace:
         dKs = [Kp - K for K, Kp in zip(Ks, Kps)]
         shifted = [Au + eps * A.diagonal() for A, Au in zip(self.ops, products)]
         diag = self._sum(np.zeros(3), fp - f, gp - g, dKs, shifted, self.ic_rows, np.zeros(nic)) / eps
-        Ks = [np.r_[np.zeros(nic), K] for K in Ks]  # the condition rows are written over
+        Ks = np.stack([np.r_[np.zeros(nic), K] for K in Ks])  # the condition rows are written over
         ic = np.zeros((nic, m + 1))
         ic[:, :3] = self.ic_rows / self.ic_denom[:, None]
         size = _BLOCK + _BANDWIDTH
-        gathered = {}  # diagonal blocks of the step's next panels, by first row
+        core = np.stack([A.core(size) for A in self.ops])
 
-        def pointwise(out: np.ndarray, k0: int, k1: int, l0: int, l1: int) -> np.ndarray:
-            """J[k0:k1, l0:l1] from out = sum_i K_i A_i[k0:k1, l0:l1], in place."""
-            lo, hi = max(k0, l0), min(k1, l1)  # J's diagonal in the block, through a view
+        def block(k0: int, k1: int, l0: int, l1: int) -> np.ndarray:
+            if (k0, k1) == (l0, l1) and k1 - k0 <= size and not self.ops[0].reaches_edge(k0, k1):
+                s = k1 - k0  # sum_i K_i[a] * A_i[a, b], term by term
+                out = np.einsum("ta,tab->ab", Ks[:, k0:k1], core[:, :s, :s])
+            else:
+                out = sum(K[k0:k1, None] * A.block(k0, k1, l0, l1) for K, A in zip(Ks, self.ops))
+            # J's diagonal in the block, through a view
+            lo, hi = max(k0, l0), min(k1, l1)
             np.einsum("ii->i", out[lo - k0 : hi - k0, lo - l0 : hi - l0])[:] += diag[lo:hi]
             if k0 < nic:
                 out[: nic - k0] = ic[k0:k1, l0:l1]
             return out
-
-        def gather(k0: int) -> None:
-            """The diagonal blocks of the _GATHER panels from row k0 on."""
-            starts = np.arange(k0, min(k0 + _GATHER * _BLOCK, m + 2 - size), _BLOCK)
-            blocks = sum(A.diagonal_blocks(starts, size, K) for K, A in zip(Ks, self.ops))
-            for k, b in zip(starts.tolist(), blocks):
-                gathered[k] = pointwise(b, k, k + size, k, k + size)
-
-        def block(k0: int, k1: int, l0: int, l1: int) -> np.ndarray:
-            if k0 == l0 and k1 == l1 == k0 + size and k0 % _BLOCK == 0:  # a step's diagonal block
-                if k0 not in gathered:
-                    gather(k0)
-                return gathered.pop(k0)
-            out = sum(A.block(k0, k1, l0, l1, K[k0:k1, None]) for K, A in zip(Ks, self.ops))
-            return pointwise(out, k0, k1, l0, l1)
 
         def below(i: int, W: np.ndarray) -> np.ndarray:
             out = None  # the sum of the terms, each scaled and added in place

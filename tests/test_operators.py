@@ -116,19 +116,24 @@ def test_panel_diagonal_blocks_match_dense(method, alpha, m):
     n = m + 1
     K = np.random.default_rng(m).normal(size=(n, 1))
     bound = 1e-12 * np.max(np.abs(want))
-    starts = np.arange(0, n - 34, 32)  # the blocks of full size
-    if starts.size:
-        stacked = op.diagonal_blocks(starts, 35, K[:, 0])
-        assert stacked.shape == (len(starts), 35, 35)
+    off_edge = []
     for k0 in range(0, n, 32):
         k1 = min(k0 + 35, n)
         block = op.block(k0, k1, k0, k1)
         assert np.max(np.abs(block - want[k0:k1, k0:k1])) <= bound
-        # a scaled block is one multiply of the same entries, and so is
-        # each of the full-size blocks gathered at once
-        assert np.array_equal(op.block(k0, k1, k0, k1, K[k0:k1]), K[k0:k1] * block)
-        if k1 - k0 == 35:
-            assert np.array_equal(stacked[k0 // 32], K[k0:k1] * block)
+        # a block is a new array: scaling it in place is one multiply of the
+        # same entries and leaves the next one as it was
+        scaled = op.block(k0, k1, k0, k1)
+        scaled *= K[k0:k1]
+        assert np.array_equal(scaled, K[k0:k1] * block)
+        assert np.array_equal(op.block(k0, k1, k0, k1), block)
+        # off the edge columns the block is the kernel's shared slice
+        assert op.reaches_edge(k0, k1) == (k0 < 6 or k1 > n - 6)
+        if not op.reaches_edge(k0, k1):
+            off_edge.append(k0)
+            assert np.max(np.abs(op.core(k1 - k0) - want[k0:k1, k0:k1])) <= bound
+            assert np.array_equal(op.core(k1 - k0), block)
+    assert off_edge == {8: [], 33: [], 36: [], 100: [32]}[m]
 
 
 def test_rejects_grids_below_stencil_layout():

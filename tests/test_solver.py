@@ -591,10 +591,13 @@ class TestBandedStep:
 
     @pytest.mark.parametrize("method", list(MethodKind))
     @pytest.mark.parametrize("alphas", [(0.6,), (1.3, 0.6)], ids=["n_ic=1", "n_ic=2"])
-    @pytest.mark.parametrize("m", [33, 36, 100, 1000])
-    def test_gathered_panel_blocks_match_fresh_blocks(self, method, alphas, m):
-        # the step's diagonal blocks, gathered once per term, are bit for bit
-        # the blocks formed one at a time; each request gets its own copy
+    @pytest.mark.parametrize("m", [33, 36, 100, 998, 1000])
+    def test_panel_blocks_match_the_whole_jacobian(self, method, alphas, m, monkeypatch):
+        # the step's diagonal blocks are bit for bit the same slices of J
+        # formed whole, and each request gets its own copy. Only panels that
+        # reach the edge columns (6 at either end) take one block() per term;
+        # the others are one einsum of the shared kernel slices. At m = 100
+        # and 998 the last full-size panel reaches the trailing edge columns.
         coeffs = ("2 + sin(x)*u", "1 + cos(x)^2")
         eq = EquationSpec(
             terms=tuple(TermSpec(E(c), FractionalOrder(a)) for c, a in zip(coeffs, alphas)),
@@ -609,12 +612,22 @@ class TestBandedStep:
         block, _below = ws.jacobian(u, ws.residual_terms(u)[1])
         n = m + 1
         fresh = block(0, n, 0, n)
+        calls = Counter()
+        term_block = operators.ToeplitzOperator.block
+
+        def counted(A, k0, k1, l0, l1):
+            calls[k0] += 1
+            return term_block(A, k0, k1, l0, l1)
+
+        monkeypatch.setattr(operators.ToeplitzOperator, "block", counted)
         for k in range(0, n, _BLOCK):
             f = min(k + _BLOCK + _BANDWIDTH, n)
             panel = block(k, f, k, f)
             assert panel.tobytes() == fresh[k:f, k:f].tobytes()
             panel[:] = 0.0
             assert block(k, f, k, f).tobytes() == fresh[k:f, k:f].tobytes()
+        edge_panels = {33: [0, 32], 36: [0, 32], 100: [0, 64, 96], 998: [0, 960, 992], 1000: [0, 992]}[m]
+        assert calls == {k: 2 * len(alphas) for k in edge_panels}  # two requests, one block() per term each
 
     def test_singular_jacobian_is_non_convergence(self, monkeypatch):
         ws = _workspace(simple_eq(forcing="sin(x)"), SolverConfig(h=0.1), MethodKind.BYPARTS)
